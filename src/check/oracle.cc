@@ -182,24 +182,31 @@ void Checker::on_port_enqueue(std::uint32_t node, net::PortId port,
                   strf("host H%u injected a frame claiming src H%u (%s)", h,
                        p.src_host, flow_name(p.flow).c_str()));
   }
-  if (opt_.conservation) {
+  if (opt_.conservation || ordering_armed_) {
     FlowAudit& fa = flows_[p.flow];
-    ++fa.injected_frames;
-    fa.injected_payload += p.payload;
-    ++trees_[tree_key(p)].injected_frames;
+    if (opt_.conservation) {
+      ++fa.injected_frames;
+      fa.injected_payload += p.payload;
+      ++trees_[tree_key(p)].injected_frames;
+    }
+    if (ordering_armed_ && p.payload > 0) {
+      const std::uint64_t end = p.seq + p.payload;
+      if (p.seq < fa.injected_high) fa.resent.add(p.seq, end);
+      if (end > fa.injected_high) fa.injected_high = end;
+    }
   }
   if (opt_.leak && p.payload > 0) live_insert(p, ex_.sim().now());
 }
 
 void Checker::on_drop(std::uint32_t node, net::PortId port,
-                      const net::Packet& p, net::TapDropCause cause) {
+                      const net::Packet& p, net::DropCause cause) {
   (void)port;
   if (!opt_.conservation && !opt_.leak) return;
   // At-enqueue rejection by the sender's own uplink: the frame never made
   // it into the network, so it never entered the books either.
   if ((node & net::kHostNodeBit) != 0 &&
-      (cause == net::TapDropCause::kQueueFull ||
-       cause == net::TapDropCause::kLinkDown) &&
+      (cause == net::DropCause::kQueueFull ||
+       cause == net::DropCause::kLinkDown) &&
       (node & ~net::kHostNodeBit) == p.src_host) {
     return;
   }
@@ -313,11 +320,13 @@ void Checker::on_host_rx(net::HostId host, const net::Packet& p) {
       const std::uint64_t end = p.seq + p.payload;
       fa.arrived.add(p.seq, end);
       if (opt_.gro) fa.cell_arrived[p.flowcell_id].add(p.seq, end);
-      // Ordering oracle: fresh data leaves the sender in increasing seq
+      // Ordering oracle: fresh data enters the network in increasing seq
       // order, so a reordering-free scheme (FIFO paths, no mid-flight path
-      // change) must deliver it monotonically too. Retransmissions are
-      // exempt — they legitimately revisit old sequence space.
-      if (ordering_armed_ && !p.is_retx) {
+      // change) must deliver it monotonically too. Resends are exempt —
+      // they legitimately revisit old sequence space — whether the sender
+      // flagged them or the injection record caught them.
+      if (ordering_armed_ && !p.is_retx &&
+          !fa.resent.intersects(p.seq, end)) {
         if (end <= fa.inorder_frontier) {
           add_violation(
               OracleKind::kOrdering,

@@ -25,9 +25,9 @@
 //   * Quarantine — the edge-suspicion policy never dispatches a flowcell on
 //     a quarantined label while a healthy one exists.
 //
-// Callbacks are synchronous and never mutate the simulation; when no
-// Checker is armed every component pays one null-pointer branch (same
-// pattern as telemetry probes).
+// Callbacks are synchronous and never mutate the simulation; the Checker
+// sits in each component's kChecker observer slot, so when none is armed an
+// event pays one branch.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +60,8 @@ enum class OracleKind : std::uint8_t {
   /// Cross-scheme differential divergence (soak lock-step mode).
   kDifferential,
   /// In-order delivery: a scheme whose registry entry claims
-  /// `reordering_free` delivered a fresh (non-retransmitted) data frame
-  /// below the flow's in-order frontier. Armed only for such schemes.
+  /// `reordering_free` delivered a fresh (first-sent) data frame below the
+  /// flow's in-order frontier. Armed only for such schemes.
   kOrdering,
 };
 
@@ -144,7 +144,7 @@ class Checker final : public net::WireTap {
   void on_port_enqueue(std::uint32_t node, net::PortId port,
                        const net::Packet& p) override;
   void on_drop(std::uint32_t node, net::PortId port, const net::Packet& p,
-               net::TapDropCause cause) override;
+               net::DropCause cause) override;
   void on_switch_rx(net::SwitchId sw, net::PortId in_port,
                     const net::Packet& p) override;
   void on_host_rx(net::HostId host, const net::Packet& p) override;
@@ -168,6 +168,14 @@ class Checker final : public net::WireTap {
     /// Highest end-seq among fresh data frames delivered so far (ordering
     /// oracle): a reordering-free scheme must never deliver below it.
     std::uint64_t inorder_frontier = 0;
+    /// One past the highest payload byte injected so far. A data frame
+    /// injected below it carries bytes already sent once — a resend, even
+    /// when the sender marks it fresh (after an RTO, the part of a
+    /// go-back-N segment above snd_high makes the whole segment "fresh").
+    std::uint64_t injected_high = 0;
+    /// Byte ranges injected as resends; delivered frames touching them are
+    /// exempt from the ordering oracle.
+    tcp::RangeSet resent;
     /// Live in-flight frame tokens keyed (seq, payload): inserted when the
     /// origin host enqueues the frame, touched at every transit enqueue,
     /// erased on delivery or attributed drop. `count` handles a

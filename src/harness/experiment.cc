@@ -15,7 +15,7 @@ Experiment::Experiment(ExperimentConfig cfg)
   if (cfg_.control_loop.enabled) cfg_.telemetry.fabric.monitors = true;
   if (cfg_.telemetry.metrics || cfg_.telemetry.trace ||
       cfg_.telemetry.flight_recorder()) {
-    telem_ = std::make_unique<telemetry::Session>(cfg_.telemetry);
+    telem_ = std::make_unique<telemetry::Session>(cfg_.telemetry, sim_);
     cfg_.mptcp.tcp.telemetry = telem_->tcp_probes();
   }
   net::LinkConfig link;
@@ -72,8 +72,8 @@ Experiment::Experiment(ExperimentConfig cfg)
   ctl_ = std::make_unique<controller::Controller>(*topo_, cfg_.controller);
   if (telem_ != nullptr) {
     for (net::SwitchId s = 0; s < topo_->switch_count(); ++s) {
-      topo_->get_switch(s).attach_telemetry(telem_->switch_probes(),
-                                            telem_->port_probes());
+      topo_->get_switch(s).observe(net::ObserverRole::kTelemetry,
+                                   telem_->net_observer());
     }
     ctl_->attach_telemetry(telem_->controller_probes());
   }
@@ -218,12 +218,11 @@ void Experiment::build_hosts() {
     auto host_ptr = std::make_unique<host::Host>(sim_, h, hc);
     topo_->connect_host(h, host_ptr.get(), host_ptr->uplink());
     if (telem_ != nullptr && cfg_.telemetry.flight_recorder()) {
-      // Flight-recorder runs also probe the host uplink (the first hop of
-      // every span); kept off otherwise so metrics-only snapshots match
-      // their pre-flight-recorder values. The high bit marks host nodes in
-      // trace events (switch ids stay dense from 0).
-      host_ptr->uplink().attach_telemetry(telem_->port_probes(),
-                                          0x8000'0000u | h, 0);
+      // Flight-recorder runs also observe the host uplink (the first hop
+      // of every span); kept off otherwise so metrics-only snapshots match
+      // their pre-flight-recorder values.
+      host_ptr->uplink().set_observer(net::ObserverRole::kTelemetry,
+                                      telem_->net_observer());
     }
     if (server) {
       host_ptr->set_lb(make_lb(h));

@@ -9,7 +9,7 @@ Host::Host(sim::Simulation& sim, net::HostId id, HostConfig cfg)
     : sim_(sim),
       id_(id),
       cfg_(std::move(cfg)),
-      uplink_(sim, cfg_.uplink),
+      uplink_(sim, cfg_.uplink, net::kHostNodeBit | id, 0),
       jitter_rng_(cfg_.jitter_seed ^ (0x9E37ULL * (id + 1))),
       cpu_(sim, cfg_.cpu_costs) {
   auto push = [this](offload::Segment s) {
@@ -161,13 +161,13 @@ void Host::receive(net::Packet p, net::PortId) {
   // cannot drain the ring and arriving frames are lost.
   if (cpu_.backlog() > cfg_.ring_backlog_limit) {
     ++ring_drops_;
-    if (tap_ != nullptr) {
-      tap_->on_drop(net::kHostNodeBit | id_, -1, p,
-                    net::TapDropCause::kHostRing);
+    for (net::WireTap* o : observers_) {
+      o->on_drop(net::kHostNodeBit | id_, net::kInvalidPort, p,
+                 net::DropCause::kHostRing);
     }
     return;
   }
-  if (tap_ != nullptr) tap_->on_host_rx(id_, p);
+  for (net::WireTap* o : observers_) o->on_host_rx(id_, p);
   ring_.push_back(std::move(p));
   if (ring_.size() >= cfg_.coalesce_packets) {
     nic_interrupt();

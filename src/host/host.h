@@ -120,12 +120,13 @@ class Host : public net::PacketSink {
   /// Observes every GRO-pushed segment after the CPU stage (metrics).
   void add_segment_tap(SegmentTap tap) { taps_.push_back(std::move(tap)); }
 
-  /// Attaches a checker wire tap (null disables): observes uplink
-  /// enqueue/drops (node = kHostNodeBit | id), frames accepted into the
-  /// receive ring, and ring-overflow drops.
+  /// Attaches a checker wire tap (null disables), replacing only the
+  /// previous checker: observes uplink enqueue/tx/drops (node =
+  /// kHostNodeBit | id), frames accepted into the receive ring, and
+  /// ring-overflow drops.
   void set_tap(net::WireTap* tap) {
-    tap_ = tap;
-    uplink_.set_tap(tap, net::kHostNodeBit | id_, 0);
+    observers_.set(net::ObserverRole::kChecker, tap);
+    uplink_.set_observer(net::ObserverRole::kChecker, tap);
   }
 
   /// Checker access to the TCP endpoints living on this host.
@@ -223,7 +224,7 @@ class Host : public net::PacketSink {
                      net::FlowKeyHash>
       receivers_;
   std::vector<SegmentTap> taps_;
-  net::WireTap* tap_ = nullptr;
+  net::ObserverSet observers_;
 };
 
 }  // namespace presto::host

@@ -2,71 +2,17 @@
 
 #include <utility>
 
-#include "telemetry/fabric/monitor.h"
-
 namespace presto::net {
 
 void TxPort::enqueue(Packet p) {
-  if (down_ || peer_ == nullptr ||
-      queued_bytes_ + p.buffer_bytes() > cfg_.queue_bytes) {
-    ++counters_.dropped_packets;
-    counters_.dropped_bytes += p.buffer_bytes();
-    if (fabric_ != nullptr) {
-      fabric_->on_drop(p.buffer_bytes(),
-                       telemetry::fabric::label_bucket(p.dst_mac),
-                       down_ || peer_ == nullptr
-                           ? telemetry::DropCause::kLinkDown
-                           : telemetry::DropCause::kQueueFull);
-    }
-    if (tap_ != nullptr) {
-      tap_->on_drop(telem_node_, telem_port_, p,
-                    down_ || peer_ == nullptr ? TapDropCause::kLinkDown
-                                              : TapDropCause::kQueueFull);
-    }
-    if (telem_ != nullptr) {
-      const bool unusable = down_ || peer_ == nullptr;
-      const auto cause = unusable ? telemetry::DropCause::kLinkDown
-                                  : telemetry::DropCause::kQueueFull;
-      (unusable ? telem_->drop_link_down : telem_->drop_queue_full)->inc();
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(sim_.now(), telemetry::EventType::kDrop,
-                               telem_node_, telem_port_,
-                               static_cast<std::uint64_t>(cause),
-                               p.buffer_bytes());
-      }
-      if (telem_->spans != nullptr && p.span_id != 0) {
-        telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDrop,
-                                sim_.now(), telem_node_, telem_port_, p.seq,
-                                p.buffer_bytes());
-      }
-    }
+  const bool unusable = down_ || peer_ == nullptr;
+  if (unusable || queued_bytes_ + p.buffer_bytes() > cfg_.queue_bytes) {
+    drop(p, unusable ? DropCause::kLinkDown : DropCause::kQueueFull);
     return;
   }
   ++counters_.enqueued_packets;
   queued_bytes_ += p.buffer_bytes();
-  if (fabric_ != nullptr) {
-    fabric_->on_enqueue(p.buffer_bytes(), queued_bytes_,
-                        telemetry::fabric::label_bucket(p.dst_mac),
-                        sim_.now());
-  }
-  if (tap_ != nullptr) tap_->on_port_enqueue(telem_node_, telem_port_, p);
-  if (telem_ != nullptr) {
-    telem_->enqueued->inc();
-    telem_->queue_depth_bytes->add(static_cast<double>(queued_bytes_));
-    if (telem_->label_flight != nullptr) {
-      telem_->label_flight->add(p.dst_mac, p.buffer_bytes());
-    }
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(sim_.now(), telemetry::EventType::kEnqueue,
-                             telem_node_, telem_port_, queued_bytes_,
-                             p.buffer_bytes());
-    }
-    if (telem_->spans != nullptr && p.span_id != 0) {
-      telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kEnqueue,
-                              sim_.now(), telem_node_, telem_port_, p.seq,
-                              p.buffer_bytes());
-    }
-  }
+  for (WireTap* o : observers_) o->on_enqueue(node_, id_, p, queued_bytes_);
   queue_.push_back(pool_.acquire(std::move(p)));
   if (!busy_) start_transmission();
 }
@@ -86,21 +32,7 @@ void TxPort::finish_transmission() {
   queued_bytes_ -= p->buffer_bytes();
   ++counters_.tx_packets;
   counters_.tx_bytes += p->buffer_bytes();
-  if (fabric_ != nullptr) {
-    fabric_->on_tx(p->buffer_bytes(), queued_bytes_,
-                   telemetry::fabric::label_bucket(p->dst_mac), sim_.now());
-  }
-  if (telem_ != nullptr) {
-    if (telem_->label_flight != nullptr) {
-      telem_->label_flight->add(p->dst_mac,
-                                -static_cast<std::int64_t>(p->buffer_bytes()));
-    }
-    if (telem_->spans != nullptr && p->span_id != 0) {
-      telem_->spans->annotate(p->span_id, telemetry::SpanEventKind::kDequeue,
-                              sim_.now(), telem_node_, telem_port_, p->seq,
-                              p->buffer_bytes());
-    }
-  }
+  for (WireTap* o : observers_) o->on_tx(node_, id_, *p, queued_bytes_);
   if (test_eater_ && test_eater_(*p)) {
     // Injected test fault: the frame vanishes without any accounting.
     pool_.release(p);
@@ -109,30 +41,7 @@ void TxPort::finish_transmission() {
     // the queue: it is lost at the wire and must be accounted like any
     // other drop. (An earlier version discarded it silently; the
     // conservation oracle flags that as unattributed loss.)
-    ++counters_.dropped_packets;
-    counters_.dropped_bytes += p->buffer_bytes();
-    if (fabric_ != nullptr) {
-      fabric_->on_drop(p->buffer_bytes(),
-                       telemetry::fabric::label_bucket(p->dst_mac),
-                       telemetry::DropCause::kLinkDown);
-    }
-    if (tap_ != nullptr) {
-      tap_->on_drop(telem_node_, telem_port_, *p, TapDropCause::kLinkDownTx);
-    }
-    if (telem_ != nullptr) {
-      telem_->drop_link_down->inc();
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(
-            sim_.now(), telemetry::EventType::kDrop, telem_node_, telem_port_,
-            static_cast<std::uint64_t>(telemetry::DropCause::kLinkDown),
-            p->buffer_bytes());
-      }
-      if (telem_->spans != nullptr && p->span_id != 0) {
-        telem_->spans->annotate(p->span_id, telemetry::SpanEventKind::kDrop,
-                                sim_.now(), telem_node_, telem_port_, p->seq,
-                                p->buffer_bytes());
-      }
-    }
+    drop(*p, DropCause::kLinkDownTx);
     pool_.release(p);
   } else if (loss_ && loss_model_eats(*p)) {
     pool_.release(p);
@@ -162,40 +71,16 @@ bool TxPort::loss_model_eats(const Packet& p) {
   const bool corrupt =
       !lost && st.model.corrupt > 0 && st.rng.uniform() < st.model.corrupt;
   if (!lost && !corrupt) return false;
+  drop(p, lost ? DropCause::kLossModel : DropCause::kCorrupt);
+  return true;
+}
+
+void TxPort::drop(const Packet& p, DropCause cause) {
   ++counters_.dropped_packets;
   counters_.dropped_bytes += p.buffer_bytes();
-  if (lost) {
-    ++counters_.loss_model_drops;
-  } else {
-    ++counters_.corrupt_drops;
-  }
-  if (fabric_ != nullptr) {
-    fabric_->on_drop(p.buffer_bytes(),
-                     telemetry::fabric::label_bucket(p.dst_mac),
-                     lost ? telemetry::DropCause::kLossModel
-                          : telemetry::DropCause::kCorrupt);
-  }
-  if (tap_ != nullptr) {
-    tap_->on_drop(telem_node_, telem_port_, p,
-                  lost ? TapDropCause::kLossModel : TapDropCause::kCorrupt);
-  }
-  if (telem_ != nullptr) {
-    const auto cause = lost ? telemetry::DropCause::kLossModel
-                            : telemetry::DropCause::kCorrupt;
-    (lost ? telem_->drop_loss_model : telem_->drop_corrupt)->inc();
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(sim_.now(), telemetry::EventType::kDrop,
-                             telem_node_, telem_port_,
-                             static_cast<std::uint64_t>(cause),
-                             p.buffer_bytes());
-    }
-    if (telem_->spans != nullptr && p.span_id != 0) {
-      telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDrop,
-                              sim_.now(), telem_node_, telem_port_, p.seq,
-                              p.buffer_bytes());
-    }
-  }
-  return true;
+  if (cause == DropCause::kLossModel) ++counters_.loss_model_drops;
+  if (cause == DropCause::kCorrupt) ++counters_.corrupt_drops;
+  for (WireTap* o : observers_) o->on_drop(node_, id_, p, cause);
 }
 
 }  // namespace presto::net

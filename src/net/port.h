@@ -17,11 +17,6 @@
 #include "net/tap.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
-#include "telemetry/probes.h"
-
-namespace presto::telemetry::fabric {
-class PortMonitor;
-}
 
 namespace presto::net {
 
@@ -66,7 +61,11 @@ struct LossModel {
 /// Unidirectional output port. The peer sink/port are fixed at wiring time.
 class TxPort {
  public:
-  TxPort(sim::Simulation& sim, LinkConfig cfg) : sim_(sim), cfg_(cfg) {}
+  /// `node`/`id` name the port to its observers: the owning switch (or
+  /// kHostNodeBit | host) and the local port number.
+  TxPort(sim::Simulation& sim, LinkConfig cfg, std::uint32_t node = 0,
+         PortId id = kInvalidPort)
+      : sim_(sim), cfg_(cfg), node_(node), id_(id) {}
 
   TxPort(const TxPort&) = delete;
   TxPort& operator=(const TxPort&) = delete;
@@ -102,35 +101,16 @@ class TxPort {
   std::uint64_t queued_bytes() const { return queued_bytes_; }
   bool connected() const { return peer_ != nullptr; }
 
-  /// Attaches metrics/tracing probes (null disables). `node`/`port` label
-  /// trace events with the owning switch/host and local port id.
-  void attach_telemetry(const telemetry::PortProbes* probes,
-                        std::uint32_t node, std::int32_t port) {
-    telem_ = probes;
-    telem_node_ = node;
-    telem_port_ = port;
-  }
-
-  /// Attaches an in-fabric telemetry monitor (null disables). The monitor
-  /// sees every enqueue/dequeue/drop behind one null check; see
-  /// telemetry/fabric/monitor.h for what it records.
-  void set_fabric_monitor(telemetry::fabric::PortMonitor* mon) {
-    fabric_ = mon;
-  }
-
-  /// Attaches a checker wire tap (null disables). Shares the telemetry
-  /// node/port labels, so call after (or instead of) attach_telemetry with
-  /// the same identifiers.
-  void set_tap(WireTap* tap, std::uint32_t node, std::int32_t port) {
-    tap_ = tap;
-    telem_node_ = node;
-    telem_port_ = port;
+  /// Attaches `obs` in `role`'s slot (null detaches). It sees every
+  /// accepted enqueue, every serialized frame and every drop.
+  void set_observer(ObserverRole role, WireTap* obs) {
+    observers_.set(role, obs);
   }
 
   /// Test-only fault: when set, a frame for which the hook returns true is
-  /// silently destroyed at serialization time — no counters, no telemetry,
-  /// no tap. This deliberately violates byte conservation; the shrinker
-  /// demo uses it to prove the oracle catches unattributed loss.
+  /// silently destroyed at serialization time — no counters, no observer.
+  /// This deliberately violates byte conservation; the shrinker demo uses
+  /// it to prove the oracle catches unattributed loss.
   void set_test_packet_eater(std::function<bool(const Packet&)> eater) {
     test_eater_ = std::move(eater);
   }
@@ -146,8 +126,11 @@ class TxPort {
   /// Serializer completion for the queue head: dequeue, count, and launch
   /// the propagation event (or drop via the loss model / down state).
   void finish_transmission();
-  /// Steps the degraded-link model for one frame; true => the wire ate it.
+  /// Steps the degraded-link model for one frame; true => the wire ate it
+  /// (and the drop is accounted).
   bool loss_model_eats(const Packet& p);
+  /// Counts a destroyed frame and tells the observers why.
+  void drop(const Packet& p, DropCause cause);
 
   sim::Simulation& sim_;
   LinkConfig cfg_;
@@ -164,11 +147,9 @@ class TxPort {
   std::optional<DegradedState> loss_;
   PortCounters counters_;
 
-  const telemetry::PortProbes* telem_ = nullptr;
-  telemetry::fabric::PortMonitor* fabric_ = nullptr;
-  std::uint32_t telem_node_ = 0;
-  std::int32_t telem_port_ = -1;
-  WireTap* tap_ = nullptr;
+  std::uint32_t node_;
+  PortId id_;
+  ObserverSet observers_;
   std::function<bool(const Packet&)> test_eater_;
 };
 

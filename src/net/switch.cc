@@ -3,31 +3,13 @@
 namespace presto::net {
 
 void Switch::receive(Packet p, PortId in_port) {
-  if (tap_ != nullptr) tap_->on_switch_rx(id_, in_port, p);
+  for (WireTap* o : observers_) o->on_switch_rx(id_, in_port, p);
   PortId out = resolve(p);
   if (out != kInvalidPort) out = apply_failover(out);
   if (out == kInvalidPort) {
     ++no_route_drops_;
-    if (fabric_ != nullptr) {
-      fabric_->on_no_route(p.buffer_bytes(),
-                           telemetry::fabric::label_bucket(p.dst_mac));
-    }
-    if (tap_ != nullptr) {
-      tap_->on_drop(id_, in_port, p, TapDropCause::kNoRoute);
-    }
-    if (telem_ != nullptr) {
-      telem_->drop_no_route->inc();
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(
-            sim_.now(), telemetry::EventType::kDrop, id_, in_port,
-            static_cast<std::uint64_t>(telemetry::DropCause::kNoRoute),
-            p.buffer_bytes());
-      }
-      if (telem_->spans != nullptr && p.span_id != 0) {
-        telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDrop,
-                                sim_.now(), id_, in_port, p.seq,
-                                p.buffer_bytes());
-      }
+    for (WireTap* o : observers_) {
+      o->on_drop(id_, in_port, p, DropCause::kNoRoute);
     }
     return;
   }

@@ -23,8 +23,8 @@
 #include "net/packet.h"
 #include "net/port.h"
 #include "net/sink.h"
+#include "net/tap.h"
 #include "sim/simulation.h"
-#include "telemetry/fabric/monitor.h"
 
 namespace presto::net {
 
@@ -36,7 +36,8 @@ class Switch : public PacketSink {
 
   /// Adds an output port with the given link config; returns its id.
   PortId add_port(const LinkConfig& cfg) {
-    ports_.push_back(std::make_unique<TxPort>(sim_, cfg));
+    ports_.push_back(std::make_unique<TxPort>(
+        sim_, cfg, id_, static_cast<PortId>(ports_.size())));
     return static_cast<PortId>(ports_.size() - 1);
   }
 
@@ -76,36 +77,17 @@ class Switch : public PacketSink {
   /// Aggregate counters over all ports (loss-rate reporting, §4).
   PortCounters total_counters() const;
 
-  /// Attaches switch-level probes and propagates port probes to every
-  /// existing output port (null disables).
-  void attach_telemetry(const telemetry::SwitchProbes* sw,
-                        const telemetry::PortProbes* port_probes) {
-    telem_ = sw;
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      ports_[i]->attach_telemetry(port_probes, id_,
-                                  static_cast<std::int32_t>(i));
-    }
+  /// Attaches `obs` in `role`'s slot of the switch (frame arrival,
+  /// no-route drops) and of every output port (null detaches). Call after
+  /// all ports exist.
+  void observe(ObserverRole role, WireTap* obs) {
+    observers_.set(role, obs);
+    for (auto& port : ports_) port->set_observer(role, obs);
   }
 
-  /// Attaches an in-fabric telemetry monitor: every output port gets the
-  /// matching PortMonitor and the switch keeps the no-route drop hook
-  /// (null detaches). Call after all ports exist; `mon` must have one
-  /// PortMonitor per port.
-  void set_fabric_monitor(telemetry::fabric::SwitchMonitor* mon) {
-    fabric_ = mon;
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      ports_[i]->set_fabric_monitor(mon == nullptr ? nullptr : mon->port(i));
-    }
-  }
-
-  /// Attaches a checker wire tap to the switch and every output port
-  /// (null disables). Call after all ports exist.
-  void set_tap(WireTap* tap) {
-    tap_ = tap;
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      ports_[i]->set_tap(tap, id_, static_cast<std::int32_t>(i));
-    }
-  }
+  /// Attaches a checker wire tap to the switch and every output port (null
+  /// disables), replacing only the previous checker.
+  void set_tap(WireTap* tap) { observe(ObserverRole::kChecker, tap); }
 
  private:
   PortId resolve(const Packet& p) const;
@@ -120,9 +102,7 @@ class Switch : public PacketSink {
   std::unordered_map<HostId, std::vector<PortId>> ecmp_groups_;
   std::unordered_map<PortId, PortId> failover_;
   std::uint64_t no_route_drops_ = 0;
-  const telemetry::SwitchProbes* telem_ = nullptr;
-  telemetry::fabric::SwitchMonitor* fabric_ = nullptr;
-  WireTap* tap_ = nullptr;
+  ObserverSet observers_;
 };
 
 }  // namespace presto::net

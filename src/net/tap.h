@@ -1,17 +1,21 @@
-// Wire-tap observer interface for invariant checkers (src/check).
+// Datapath observer interface: the one path by which the fabric monitors,
+// the telemetry session and the invariant checkers see frames move.
 //
 // A WireTap sees every datapath event that creates, moves, terminates, or
-// destroys a frame: acceptance into a transmit queue, arrival at a switch or
-// host, and every drop with its cause. Components hold a single nullable
-// pointer (the same pattern as the telemetry probe bundles), so a disarmed
-// tap costs one predictable branch per event and nothing else — benches and
-// paper runs never pay for the checkers.
+// destroys a frame: acceptance into a transmit queue, serialization onto
+// the wire, arrival at a switch or host, and every drop with its cause.
+// TxPort, Switch and Host each keep an ObserverSet (one slot per
+// ObserverRole) and notify it from one place per event; with nothing
+// attached an event costs one predictable branch, so benches and paper runs
+// never pay for observers they did not ask for.
 //
-// Node identifiers follow the telemetry convention: switch ids are dense
-// from 0; host-owned ports (the uplink) set kHostNodeBit so one 32-bit node
-// id names either kind.
+// Node identifiers follow one convention: switch ids are dense from 0;
+// host-owned ports (the uplink) set kHostNodeBit so one 32-bit node id
+// names either kind.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "net/packet.h"
@@ -22,25 +26,37 @@ namespace presto::net {
 /// Marks a node id as naming a host rather than a switch.
 inline constexpr std::uint32_t kHostNodeBit = 0x8000'0000u;
 
-/// Why a frame ceased to exist. Mirrors telemetry::DropCause but adds the
-/// serialize-time link-down case (a frame already queued when the port went
-/// down) and the host-side ring overflow.
-enum class TapDropCause : std::uint8_t {
-  kQueueFull,    ///< Drop-tail: queue byte cap exceeded at enqueue.
-  kLinkDown,     ///< Port down (or unconnected) at enqueue time.
-  kLinkDownTx,   ///< Port went down while the frame sat in the queue.
-  kLossModel,    ///< Eaten by the Gilbert–Elliott degraded-link model.
-  kCorrupt,      ///< Random corruption (FCS failure at the receiver).
-  kNoRoute,      ///< No forwarding entry matched at a switch.
-  kHostRing,     ///< Receive-ring overflow (receive-livelock protection).
+/// Why a frame ceased to exist. The first kCountedDropCauses values are the
+/// causes telemetry counts; their numbering is the Tracer kDrop operand and
+/// the fabric PortReport::drops index, so it is pinned. The causes after
+/// them refine (kLinkDownTx) or extend (kHostRing) that set for the
+/// checkers.
+enum class DropCause : std::uint8_t {
+  kQueueFull = 0,   ///< Drop-tail: queue byte cap exceeded at enqueue.
+  kLinkDown = 1,    ///< Port down (or unconnected) at enqueue time.
+  kNoRoute = 2,     ///< No forwarding entry matched at a switch.
+  kLossModel = 3,   ///< Eaten by the Gilbert–Elliott degraded-link model.
+  kCorrupt = 4,     ///< Random corruption (FCS failure at the receiver).
+  kLinkDownTx = 5,  ///< Port went down while the frame sat in the queue.
+  kHostRing = 6,    ///< Receive-ring overflow (receive-livelock protection).
 };
 
-const char* tap_drop_cause_name(TapDropCause c);
+/// The enum's earlier name, still spelled by perfbench's forwarding tap.
+using TapDropCause = DropCause;
+
+/// Causes with a telemetry counter: [0, kCountedDropCauses).
+inline constexpr std::size_t kCountedDropCauses = 5;
+
+/// The cause as counters, traces and fabric reports count it: a frame lost
+/// because its port went down while it was queued counts as link_down.
+constexpr DropCause counted_cause(DropCause c) {
+  return c == DropCause::kLinkDownTx ? DropCause::kLinkDown : c;
+}
 
 /// Datapath observer. All callbacks fire synchronously at the point the
 /// event happens; implementations must not mutate the simulation from
-/// inside a callback. Default implementations ignore everything so a
-/// checker overrides only what it needs.
+/// inside a callback. Default implementations ignore everything so an
+/// observer overrides only what it needs.
 class WireTap {
  public:
   virtual ~WireTap() = default;
@@ -53,11 +69,30 @@ class WireTap {
     (void)node; (void)port; (void)p;
   }
 
+  /// The form of on_port_enqueue that TxPort calls: `depth` is the queue
+  /// occupancy in bytes including `p`. The default forwards to
+  /// on_port_enqueue, so observers that do not need the depth override
+  /// only that.
+  virtual void on_enqueue(std::uint32_t node, PortId port, const Packet& p,
+                          std::uint64_t depth) {
+    (void)depth;
+    on_port_enqueue(node, port, p);
+  }
+
+  /// `p` finished serializing out of `node`/`port`; `depth` is the queue
+  /// occupancy left behind. Fires before the port decides whether the wire
+  /// delivers the frame (link down, loss model), so a frame can see on_tx
+  /// and then on_drop.
+  virtual void on_tx(std::uint32_t node, PortId port, const Packet& p,
+                     std::uint64_t depth) {
+    (void)node; (void)port; (void)p; (void)depth;
+  }
+
   /// `p` was destroyed at `node`/`port` for `cause`. Every frame that was
   /// previously enqueued and is not delivered must pass through here
   /// exactly once (the conservation oracle counts on it).
   virtual void on_drop(std::uint32_t node, PortId port, const Packet& p,
-                       TapDropCause cause) {
+                       DropCause cause) {
     (void)node; (void)port; (void)p; (void)cause;
   }
 
@@ -74,17 +109,37 @@ class WireTap {
   }
 };
 
-inline const char* tap_drop_cause_name(TapDropCause c) {
-  switch (c) {
-    case TapDropCause::kQueueFull: return "queue_full";
-    case TapDropCause::kLinkDown: return "link_down";
-    case TapDropCause::kLinkDownTx: return "link_down_tx";
-    case TapDropCause::kLossModel: return "loss_model";
-    case TapDropCause::kCorrupt: return "corrupt";
-    case TapDropCause::kNoRoute: return "no_route";
-    case TapDropCause::kHostRing: return "host_ring";
+/// Who an attached observer is. A component has one slot per role, so
+/// replacing one observer (a checker swapped for a forwarding tap) leaves
+/// the others attached. Observers are notified in role order.
+enum class ObserverRole : std::uint8_t {
+  kMonitor,    ///< In-fabric telemetry monitor (telemetry/fabric).
+  kChecker,    ///< Invariant checker (src/check) or a tap in front of it.
+  kTelemetry,  ///< Telemetry session: counters, traces, spans.
+};
+inline constexpr std::size_t kObserverRoles = 3;
+
+/// The observers attached to one datapath component. Iterating it visits
+/// the occupied slots only, so with nothing attached a notification is one
+/// compare; attaching never allocates.
+class ObserverSet {
+ public:
+  /// Puts `obs` in `role`'s slot, replacing its occupant (null empties it).
+  void set(ObserverRole role, WireTap* obs) {
+    by_role_[static_cast<std::size_t>(role)] = obs;
+    count_ = 0;
+    for (WireTap* o : by_role_) {
+      if (o != nullptr) active_[count_++] = o;
+    }
   }
-  return "?";
-}
+
+  WireTap* const* begin() const { return active_.data(); }
+  WireTap* const* end() const { return active_.data() + count_; }
+
+ private:
+  std::array<WireTap*, kObserverRoles> by_role_{};
+  std::array<WireTap*, kObserverRoles> active_{};  ///< occupied, role order
+  std::uint8_t count_ = 0;
+};
 
 }  // namespace presto::net

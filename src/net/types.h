@@ -50,6 +50,19 @@ constexpr std::uint32_t mac_tree(MacAddr mac) {
   return static_cast<std::uint32_t>((mac >> 24) & 0xFFFF);
 }
 
+/// Spanning trees that get a bucket of their own in per-tree telemetry
+/// (fabric per-label counters, the flight recorder's in-flight table).
+inline constexpr std::uint32_t kTreeBuckets = 16;
+
+/// Per-tree telemetry bucket of a destination MAC: the shadow-MAC tree for
+/// trees below kTreeBuckets, kTreeBuckets (the catch-all) for real MACs and
+/// higher trees.
+constexpr std::uint32_t label_bucket(MacAddr mac) {
+  if (!is_shadow_mac(mac)) return kTreeBuckets;
+  const std::uint32_t tree = mac_tree(mac);
+  return tree < kTreeBuckets ? tree : kTreeBuckets;
+}
+
 /// Switch-to-switch tunnel label: "deliver to edge switch `leaf` via tree
 /// `tree`"; the destination leaf forwards on L3 (dst_host) for the final
 /// hop. Cuts rule state from O(|vSwitches| x |paths|) to

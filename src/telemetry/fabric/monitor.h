@@ -1,15 +1,16 @@
 // Switch-side monitors: the data-plane half of the telemetry plane
 // (DESIGN.md §15.1).
 //
-// A SwitchMonitor owns one PortMonitor per output port. TxPort calls the
-// three inline hooks below from its existing enqueue/dequeue/drop paths
-// behind a single null check, so the disabled cost is one predictable
-// branch and the enabled cost is a handful of integer ops (bounded-array
-// counter bumps, two compares for the high-watermark and microburst state,
-// and — on every 2^sketch_sample_shift-th enqueue only — one DDSketch
-// insert). No allocation happens in steady state: all per-port state is
-// fixed-size, and the label sketches stop growing once their dense bucket
-// ranges cover the observed queue depths.
+// A SwitchMonitor owns one PortMonitor per output port. It is the fabric's
+// net::WireTap observer (kMonitor slot) on its switch and every port, and
+// hands each port event to that port's PortMonitor through the three
+// inline hooks below, so the disabled cost is one predictable branch and
+// the enabled cost is a virtual call plus a handful of integer ops
+// (bounded-array counter bumps, two compares for the high-watermark and
+// microburst state, and — on every 2^sketch_sample_shift-th enqueue only —
+// one DDSketch insert). No allocation happens in steady state: all per-port
+// state is fixed-size, and the label sketches stop growing once their dense
+// bucket ranges cover the observed queue depths.
 //
 // snapshot() closes a flush window: it updates the utilization EWMA and the
 // decayed high-watermark and emits a cumulative TelemetryReport (see
@@ -21,23 +22,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/packet.h"
+#include "net/tap.h"
 #include "net/types.h"
 #include "sim/digest.h"
+#include "sim/simulation.h"
 #include "sim/time.h"
 #include "stats/ddsketch.h"
 #include "telemetry/fabric/config.h"
 #include "telemetry/fabric/report.h"
-#include "telemetry/trace.h"
 
 namespace presto::telemetry::fabric {
-
-/// Label bucket for a destination MAC: shadow-MAC spanning-tree id for
-/// trees 0..15, the catch-all bucket for everything else.
-inline std::uint32_t label_bucket(net::MacAddr dst) {
-  if (!net::is_shadow_mac(dst)) return kNonLabelBucket;
-  const std::uint32_t tree = net::mac_tree(dst);
-  return tree < kNonLabelBucket ? tree : kNonLabelBucket;
-}
 
 class SwitchMonitor;
 
@@ -45,11 +40,10 @@ class SwitchMonitor;
 /// SwitchMonitor drives window close (snapshot) and digesting.
 class PortMonitor {
  public:
-  /// Called by TxPort after a successful enqueue. `depth_after` is the
-  /// queue occupancy in bytes including this frame.
-  void on_enqueue(std::uint32_t bytes, std::uint64_t depth_after,
-                  std::uint32_t bucket, sim::Time now) {
-    (void)bytes;
+  /// Called by the SwitchMonitor after a successful enqueue. `depth_after`
+  /// is the queue occupancy in bytes including this frame.
+  void on_enqueue(std::uint64_t depth_after, std::uint32_t bucket,
+                  sim::Time now) {
     depth_ = depth_after;
     if (depth_after > hwm_live_) hwm_live_ = depth_after;
     if (in_burst_) {
@@ -65,10 +59,10 @@ class PortMonitor {
     }
   }
 
-  /// Called by TxPort when a frame finishes serialization (dequeued from
-  /// the queue onto the wire). `depth_after` excludes this frame. Only the
-  /// per-label counters are bumped here; the port-level tx totals are
-  /// derived from them at window close, off the hot path.
+  /// Called by the SwitchMonitor when a frame finishes serialization
+  /// (dequeued from the queue onto the wire). `depth_after` excludes this
+  /// frame. Only the per-label counters are bumped here; the port-level tx
+  /// totals are derived from them at window close, off the hot path.
   void on_tx(std::uint32_t bytes, std::uint64_t depth_after,
              std::uint32_t bucket, sim::Time now) {
     ++labels_[bucket].tx_packets;
@@ -85,11 +79,10 @@ class PortMonitor {
     }
   }
 
-  /// Called by TxPort for every counted drop (enqueue reject, link-down at
-  /// serialization, loss-model/corruption eat).
-  void on_drop(std::uint32_t bytes, std::uint32_t bucket, DropCause cause) {
-    (void)bytes;
-    const auto c = static_cast<std::size_t>(cause);
+  /// Called by the SwitchMonitor for every port drop (enqueue reject,
+  /// link-down at serialization, loss-model/corruption eat).
+  void on_drop(std::uint32_t bucket, net::DropCause cause) {
+    const auto c = static_cast<std::size_t>(net::counted_cause(cause));
     if (c < kDropCauses) ++r_.drops[c];
     ++labels_[bucket].drop_packets;
   }
@@ -159,10 +152,11 @@ class PortMonitor {
 };
 
 /// All monitors of one switch plus the shared per-label depth sketches.
-class SwitchMonitor {
+class SwitchMonitor final : public net::WireTap {
  public:
-  SwitchMonitor(std::uint32_t switch_id, const FabricConfig& cfg)
-      : id_(switch_id), cfg_(&cfg), sketches_(kLabelBuckets) {}
+  SwitchMonitor(const sim::Simulation& sim, std::uint32_t switch_id,
+                const FabricConfig& cfg)
+      : sim_(sim), id_(switch_id), cfg_(&cfg), sketches_(kLabelBuckets) {}
 
   SwitchMonitor(const SwitchMonitor&) = delete;
   SwitchMonitor& operator=(const SwitchMonitor&) = delete;
@@ -178,12 +172,27 @@ class SwitchMonitor {
   std::size_t port_count() const { return ports_.size(); }
   std::uint32_t switch_id() const { return id_; }
 
-  /// Switch-level drop: no forwarding entry matched (telemetry::DropCause
-  /// kNoRoute, not attributable to an output port).
-  void on_no_route(std::uint32_t bytes, std::uint32_t bucket) {
-    (void)bytes;
-    ++no_route_drops_;
-    ++label_no_route_[bucket];
+  // net::WireTap: port events go to that port's monitor; a no-route drop
+  // is the switch's own (not attributable to an output port).
+  void on_enqueue(std::uint32_t, net::PortId port, const net::Packet& p,
+                  std::uint64_t depth) override {
+    ports_[static_cast<std::size_t>(port)].on_enqueue(
+        depth, net::label_bucket(p.dst_mac), sim_.now());
+  }
+  void on_tx(std::uint32_t, net::PortId port, const net::Packet& p,
+             std::uint64_t depth) override {
+    ports_[static_cast<std::size_t>(port)].on_tx(
+        p.buffer_bytes(), depth, net::label_bucket(p.dst_mac), sim_.now());
+  }
+  void on_drop(std::uint32_t, net::PortId port, const net::Packet& p,
+               net::DropCause cause) override {
+    const std::uint32_t bucket = net::label_bucket(p.dst_mac);
+    if (cause == net::DropCause::kNoRoute) {
+      ++no_route_drops_;
+      ++label_no_route_[bucket];
+    } else {
+      ports_[static_cast<std::size_t>(port)].on_drop(bucket, cause);
+    }
   }
 
   std::uint64_t no_route_drops() const { return no_route_drops_; }
@@ -198,6 +207,7 @@ class SwitchMonitor {
   const std::vector<stats::DDSketch>& label_depth() const { return sketches_; }
 
  private:
+  const sim::Simulation& sim_;
   std::uint32_t id_;
   const FabricConfig* cfg_;
   std::vector<PortMonitor> ports_;

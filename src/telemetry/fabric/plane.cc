@@ -15,11 +15,11 @@ FabricPlane::FabricPlane(sim::Simulation& sim, const FabricConfig& cfg,
       rng_(net::mix64(seed ^ 0xFAB51C'7E1EULL)) {}
 
 void FabricPlane::attach_switch(net::Switch& sw) {
-  auto mon = std::make_unique<SwitchMonitor>(sw.id(), cfg_);
+  auto mon = std::make_unique<SwitchMonitor>(sim_, sw.id(), cfg_);
   for (std::size_t i = 0; i < sw.port_count(); ++i) {
     mon->add_port(sw.port(static_cast<net::PortId>(i)).config().rate_bps);
   }
-  if (cfg_.attach_hooks) sw.set_fabric_monitor(mon.get());
+  if (cfg_.attach_hooks) sw.observe(net::ObserverRole::kMonitor, mon.get());
   collector_.expect_switch(sw.id(), sw.port_count());
   monitors_[sw.id()] = std::move(mon);
 }

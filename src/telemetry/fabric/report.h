@@ -13,25 +13,27 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/tap.h"
+#include "net/types.h"
 #include "sim/time.h"
 #include "stats/ddsketch.h"
 
 namespace presto::telemetry::fabric {
 
-/// Spanning-tree label buckets: trees 0..15 (telemetry::LabelFlight's
-/// kMaxTrees) plus one catch-all for non-shadow-MAC traffic.
-inline constexpr std::size_t kLabelBuckets = 17;
-inline constexpr std::uint32_t kNonLabelBucket = 16;
+/// Spanning-tree label buckets (net::label_bucket): trees 0..15 plus one
+/// catch-all for non-shadow-MAC traffic.
+inline constexpr std::uint32_t kNonLabelBucket = net::kTreeBuckets;
+inline constexpr std::size_t kLabelBuckets = kNonLabelBucket + 1;
 
-/// Drop causes tracked per port (indices match telemetry::DropCause).
-inline constexpr std::size_t kDropCauses = 5;
+/// Drop causes tracked per port, indexed by net::counted_cause.
+inline constexpr std::size_t kDropCauses = net::kCountedDropCauses;
 
 /// One output port's cumulative state.
 struct PortReport {
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;
   std::uint64_t enqueued_packets = 0;
-  std::array<std::uint64_t, kDropCauses> drops{};  ///< by telemetry::DropCause
+  std::array<std::uint64_t, kDropCauses> drops{};  ///< by net::counted_cause
 
   /// Raw high-watermark over the whole run and the per-flush decayed one.
   std::uint64_t queue_hwm_bytes = 0;

@@ -4,6 +4,9 @@
 // Registry once when a Session is created. Components store a
 // `const XxxProbes*` (null => telemetry disabled) and guard updates with a
 // single null check, so the disabled path costs one predictable branch.
+// The network layer is the exception: it knows no telemetry types, so the
+// Session observes it through one net::WireTap (NetObserver) attached to
+// the switches and ports like any other datapath observer.
 //
 // The Session is owned by the Experiment: one per simulation replica, never
 // shared across sweep threads.
@@ -13,7 +16,10 @@
 #include <cstdint>
 #include <memory>
 
+#include "net/packet.h"
+#include "net/tap.h"
 #include "net/types.h"
+#include "sim/simulation.h"
 #include "sim/time.h"
 #include "telemetry/fabric/config.h"
 #include "telemetry/metrics.h"
@@ -52,39 +58,46 @@ struct TelemetryConfig {
   bool flight_recorder() const { return timeseries || span_sample_every > 0; }
 };
 
-/// Per-spanning-tree in-flight byte table, maintained by every TxPort
-/// (enqueue adds, dequeue/drop subtracts) and read by the sampler as the
+/// Per-spanning-tree in-flight byte table, fed by the NetObserver
+/// (enqueue adds, transmit subtracts) and read by the sampler as the
 /// "label in-flight" gauge family. Plain array — ports and sampler live on
 /// the same replica thread.
 struct LabelFlight {
-  static constexpr std::size_t kMaxTrees = 16;
+  static constexpr std::size_t kMaxTrees = net::kTreeBuckets;
   std::array<std::int64_t, kMaxTrees> bytes{};
 
   void add(net::MacAddr dst, std::int64_t delta) {
-    if (!net::is_shadow_mac(dst)) return;
-    const std::uint32_t tree = net::mac_tree(dst);
-    if (tree < kMaxTrees) bytes[tree] += delta;
+    const std::uint32_t bucket = net::label_bucket(dst);
+    if (bucket < kMaxTrees) bytes[bucket] += delta;
   }
 };
 
-/// net::TxPort — queue occupancy and drops by cause.
-struct PortProbes {
-  Counter* enqueued = nullptr;
-  Counter* drop_queue_full = nullptr;
-  Counter* drop_link_down = nullptr;
-  Counter* drop_loss_model = nullptr;  ///< degraded-link burst loss
-  Counter* drop_corrupt = nullptr;     ///< random corruption drops
-  Histogram* queue_depth_bytes = nullptr;  ///< sampled after each enqueue
-  Tracer* tracer = nullptr;
-  SpanTracer* spans = nullptr;
-  LabelFlight* label_flight = nullptr;
-};
+/// The telemetry session's datapath observer, attached to every switch and
+/// its ports (and, in flight-recorder runs, to host uplinks): counts
+/// enqueues and drops by cause, samples queue depth after each enqueue,
+/// records Tracer kEnqueue/kDrop events, annotates sampled spans, and keeps
+/// the LabelFlight table when the flight recorder samples it.
+class NetObserver final : public net::WireTap {
+ public:
+  NetObserver(const sim::Simulation& sim, Registry& registry, Tracer* tracer,
+              SpanTracer* spans, LabelFlight* flight);
 
-/// net::Switch — forwarding-table misses.
-struct SwitchProbes {
-  Counter* drop_no_route = nullptr;
-  Tracer* tracer = nullptr;
-  SpanTracer* spans = nullptr;
+  void on_enqueue(std::uint32_t node, net::PortId port, const net::Packet& p,
+                  std::uint64_t depth) override;
+  void on_tx(std::uint32_t node, net::PortId port, const net::Packet& p,
+             std::uint64_t depth) override;
+  void on_drop(std::uint32_t node, net::PortId port, const net::Packet& p,
+               net::DropCause cause) override;
+
+ private:
+  const sim::Simulation& sim_;
+  Counter* enqueued_;
+  /// Indexed by net::counted_cause.
+  std::array<Counter*, net::kCountedDropCauses> drops_;
+  Histogram* queue_depth_bytes_;  ///< sampled after each enqueue
+  Tracer* tracer_;
+  SpanTracer* spans_;
+  LabelFlight* flight_;
 };
 
 /// core::FlowcellEngine — cell creation, label spread, and path suspicion.
@@ -155,7 +168,8 @@ struct FaultProbes {
 /// carry the full cross-layer key set even when a counter stayed at zero.
 class Session {
  public:
-  explicit Session(const TelemetryConfig& cfg);
+  /// `sim` is the replica's clock (the NetObserver timestamps with it).
+  Session(const TelemetryConfig& cfg, const sim::Simulation& sim);
 
   Registry& registry() { return registry_; }
   /// Null when tracing is disabled.
@@ -168,8 +182,7 @@ class Session {
   const SpanTracer* spans() const { return spans_.get(); }
   LabelFlight& label_flight() { return label_flight_; }
 
-  const PortProbes* port_probes() const { return &port_; }
-  const SwitchProbes* switch_probes() const { return &switch_; }
+  net::WireTap* net_observer() { return net_observer_.get(); }
   const FlowcellProbes* flowcell_probes() const { return &flowcell_; }
   const GroProbes* gro_probes() const { return &gro_; }
   const TcpProbes* tcp_probes() const { return &tcp_; }
@@ -185,8 +198,7 @@ class Session {
   std::unique_ptr<TimeSeriesSampler> sampler_;
   std::unique_ptr<SpanTracer> spans_;
   LabelFlight label_flight_;
-  PortProbes port_;
-  SwitchProbes switch_;
+  std::unique_ptr<NetObserver> net_observer_;
   FlowcellProbes flowcell_;
   GroProbes gro_;
   TcpProbes tcp_;

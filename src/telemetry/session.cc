@@ -2,7 +2,65 @@
 
 namespace presto::telemetry {
 
-Session::Session(const TelemetryConfig& cfg) {
+NetObserver::NetObserver(const sim::Simulation& sim, Registry& registry,
+                         Tracer* tracer, SpanTracer* spans,
+                         LabelFlight* flight)
+    : sim_(sim),
+      enqueued_(&registry.counter("net.port.enqueued_packets")),
+      drops_{&registry.counter("net.port.dropped.queue_full"),
+             &registry.counter("net.port.dropped.link_down"),
+             &registry.counter("net.switch.dropped.no_route"),
+             &registry.counter("net.port.dropped.loss_model"),
+             &registry.counter("net.port.dropped.corrupt")},
+      queue_depth_bytes_(&registry.histogram("net.port.queue_depth_bytes")),
+      tracer_(tracer),
+      spans_(spans),
+      flight_(flight) {}
+
+void NetObserver::on_enqueue(std::uint32_t node, net::PortId port,
+                             const net::Packet& p, std::uint64_t depth) {
+  enqueued_->inc();
+  queue_depth_bytes_->add(static_cast<double>(depth));
+  if (flight_ != nullptr) flight_->add(p.dst_mac, p.buffer_bytes());
+  if (tracer_ != nullptr) {
+    tracer_->record(sim_.now(), EventType::kEnqueue, node, port, depth,
+                    p.buffer_bytes());
+  }
+  if (spans_ != nullptr && p.span_id != 0) {
+    spans_->annotate(p.span_id, SpanEventKind::kEnqueue, sim_.now(), node,
+                     port, p.seq, p.buffer_bytes());
+  }
+}
+
+void NetObserver::on_tx(std::uint32_t node, net::PortId port,
+                        const net::Packet& p, std::uint64_t depth) {
+  (void)depth;
+  if (flight_ != nullptr) {
+    flight_->add(p.dst_mac, -static_cast<std::int64_t>(p.buffer_bytes()));
+  }
+  if (spans_ != nullptr && p.span_id != 0) {
+    spans_->annotate(p.span_id, SpanEventKind::kDequeue, sim_.now(), node,
+                     port, p.seq, p.buffer_bytes());
+  }
+}
+
+void NetObserver::on_drop(std::uint32_t node, net::PortId port,
+                          const net::Packet& p, net::DropCause cause) {
+  const auto c = static_cast<std::size_t>(net::counted_cause(cause));
+  if (c < drops_.size()) {
+    drops_[c]->inc();
+    if (tracer_ != nullptr) {
+      tracer_->record(sim_.now(), EventType::kDrop, node, port, c,
+                      p.buffer_bytes());
+    }
+  }
+  if (spans_ != nullptr && p.span_id != 0) {
+    spans_->annotate(p.span_id, SpanEventKind::kDrop, sim_.now(), node, port,
+                     p.seq, p.buffer_bytes());
+  }
+}
+
+Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
   if (cfg.trace) {
     tracer_ = std::make_unique<Tracer>(cfg.trace_capacity);
   }
@@ -17,23 +75,12 @@ Session::Session(const TelemetryConfig& cfg) {
   Tracer* tr = tracer_.get();
   SpanTracer* sp = spans_.get();
 
-  port_.spans = sp;
-  port_.label_flight = &label_flight_;
-  switch_.spans = sp;
+  // Only the flight recorder's sampler reads the per-tree in-flight table.
+  net_observer_ = std::make_unique<NetObserver>(
+      sim, registry_, tr, sp, sampler_ != nullptr ? &label_flight_ : nullptr);
   flowcell_.spans = sp;
   gro_.spans = sp;
   tcp_.spans = sp;
-
-  port_.enqueued = &registry_.counter("net.port.enqueued_packets");
-  port_.drop_queue_full = &registry_.counter("net.port.dropped.queue_full");
-  port_.drop_link_down = &registry_.counter("net.port.dropped.link_down");
-  port_.drop_loss_model = &registry_.counter("net.port.dropped.loss_model");
-  port_.drop_corrupt = &registry_.counter("net.port.dropped.corrupt");
-  port_.queue_depth_bytes = &registry_.histogram("net.port.queue_depth_bytes");
-  port_.tracer = tr;
-
-  switch_.drop_no_route = &registry_.counter("net.switch.dropped.no_route");
-  switch_.tracer = tr;
 
   flowcell_.cells = &registry_.counter("core.flowcell.cells");
   flowcell_.segments = &registry_.counter("core.flowcell.segments");

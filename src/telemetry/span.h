@@ -4,10 +4,10 @@
 // (every Nth cell, a TelemetryConfig knob) and carries the shadow-MAC label
 // chosen for it. The packets of that cell are stamped with the span id,
 // which travels with them through TSO replication, so every layer they
-// cross can annotate the span: per-hop enqueue/dequeue (and drops) in
-// net::TxPort, no-route drops in net::Switch, merge/flush decisions in the
-// GRO engines, and finally closure when the TCP receiver's in-order
-// frontier passes the span's byte range. The result is a per-cell latency
+// cross can annotate the span: per-hop enqueue/dequeue (and drops) at every
+// port, no-route drops at switches (both through the datapath NetObserver),
+// merge/flush decisions in the GRO engines, and finally closure when the
+// TCP receiver's in-order frontier passes the span's byte range. The result is a per-cell latency
 // breakdown (host egress vs queueing vs reorder-wait) attributed to the
 // label that carried the cell.
 //

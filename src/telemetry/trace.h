@@ -21,7 +21,7 @@ namespace presto::telemetry {
 /// Probe points wired through the stack (ISSUE 1 tentpole list).
 enum class EventType : std::uint8_t {
   kEnqueue,             ///< net: frame accepted into a port queue
-  kDrop,                ///< net: frame dropped (a = DropCause)
+  kDrop,                ///< net: frame dropped (a = net::counted_cause)
   kFlowcellDispatch,    ///< core: flowcell assigned a label slot
   kGroMerge,            ///< offload: packet merged into a held segment
   kGroFlush,            ///< offload: segment pushed up (a = FlushCause)
@@ -32,15 +32,6 @@ enum class EventType : std::uint8_t {
 };
 
 const char* event_type_name(EventType t);
-
-/// Drop causes carried in Event::a for kDrop.
-enum class DropCause : std::uint64_t {
-  kQueueFull = 0,
-  kLinkDown = 1,
-  kNoRoute = 2,
-  kLossModel = 3,  ///< degraded-link (Gilbert–Elliott) drop
-  kCorrupt = 4,    ///< random frame corruption (FCS fail at the receiver)
-};
 
 /// Flush causes carried in Event::a for kGroFlush (Algorithm 2 branches).
 enum class FlushCause : std::uint64_t {

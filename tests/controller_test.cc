@@ -186,7 +186,7 @@ TEST_F(ControllerTest, AdjacentLeafFailoverIsImmediate) {
 TEST_F(ControllerTest, RedundantTransitionsAreCountedNoOps) {
   telemetry::TelemetryConfig tc;
   tc.metrics = true;
-  telemetry::Session session(tc);
+  telemetry::Session session(tc, sim_);
   ctl_.attach_telemetry(session.controller_probes());
 
   const Tree& t = ctl_.trees().front();

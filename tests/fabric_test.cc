@@ -24,25 +24,38 @@ namespace {
 // ---------------------------------------------------------------- monitors
 
 TEST(LabelBucket, ShadowTreesMapToBucketsRealMacsToCatchAll) {
-  EXPECT_EQ(label_bucket(net::shadow_mac(3, 0)), 0u);
-  EXPECT_EQ(label_bucket(net::shadow_mac(9, 7)), 7u);
-  EXPECT_EQ(label_bucket(net::real_mac(3)), kNonLabelBucket);
-  EXPECT_EQ(label_bucket(net::real_mac(0)), kNonLabelBucket);
+  EXPECT_EQ(net::label_bucket(net::shadow_mac(3, 0)), 0u);
+  EXPECT_EQ(net::label_bucket(net::shadow_mac(9, 7)), 7u);
+  EXPECT_EQ(net::label_bucket(net::real_mac(3)), kNonLabelBucket);
+  EXPECT_EQ(net::label_bucket(net::real_mac(0)), kNonLabelBucket);
+  EXPECT_EQ(net::label_bucket(net::shadow_mac(9, 16)), kNonLabelBucket);
+}
+
+/// A frame of `bytes` buffer bytes carrying spanning tree `tree`'s label.
+net::Packet frame(std::uint32_t bytes, std::uint32_t tree) {
+  net::Packet p;
+  p.dst_mac = net::shadow_mac(0, tree);
+  p.payload = bytes - net::kHeaderBytes;
+  return p;
 }
 
 TEST(PortMonitor, CountsDropsAndHighWatermark) {
   FabricConfig cfg;
   cfg.microburst_threshold_bytes = 1000;
-  SwitchMonitor mon(7, cfg);
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 7, cfg);
   mon.add_port(10e9);
   PortMonitor* p = mon.port(0);
 
-  p->on_enqueue(500, 500, 2, 10);
-  p->on_enqueue(400, 900, 2, 20);
-  p->on_tx(500, 400, 2, 30);
-  p->on_drop(300, 2, DropCause::kQueueFull);
-  p->on_drop(300, 5, DropCause::kLossModel);
-  mon.on_no_route(200, 2);
+  sim.run_until(10);
+  mon.on_enqueue(7, 0, frame(500, 2), 500);
+  sim.run_until(20);
+  mon.on_enqueue(7, 0, frame(400, 2), 900);
+  sim.run_until(30);
+  mon.on_tx(7, 0, frame(500, 2), 400);
+  mon.on_drop(7, 0, frame(300, 2), net::DropCause::kQueueFull);
+  mon.on_drop(7, 0, frame(300, 5), net::DropCause::kLossModel);
+  mon.on_drop(7, 1, frame(200, 2), net::DropCause::kNoRoute);
 
   EXPECT_EQ(p->queue_hwm_bytes(), 900u);
   const TelemetryReport r = mon.snapshot(1000);
@@ -54,8 +67,10 @@ TEST(PortMonitor, CountsDropsAndHighWatermark) {
   EXPECT_EQ(r.ports[0].tx_packets, 1u);
   EXPECT_EQ(r.ports[0].tx_bytes, 500u);
   EXPECT_EQ(r.ports[0].queue_hwm_bytes, 900u);
-  EXPECT_EQ(r.ports[0].drops[static_cast<int>(DropCause::kQueueFull)], 1u);
-  EXPECT_EQ(r.ports[0].drops[static_cast<int>(DropCause::kLossModel)], 1u);
+  EXPECT_EQ(r.ports[0].drops[static_cast<int>(net::DropCause::kQueueFull)],
+            1u);
+  EXPECT_EQ(r.ports[0].drops[static_cast<int>(net::DropCause::kLossModel)],
+            1u);
   EXPECT_EQ(r.labels[2].tx_packets, 1u);
   EXPECT_EQ(r.labels[2].tx_bytes, 500u);
   // Port drop on bucket 2 + the switch-level no-route drop on bucket 2.
@@ -67,16 +82,22 @@ TEST(PortMonitor, CountsDropsAndHighWatermark) {
 TEST(PortMonitor, MicroburstEpisodeTracksDurationAndPeak) {
   FabricConfig cfg;
   cfg.microburst_threshold_bytes = 1000;
-  SwitchMonitor mon(0, cfg);
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 0, cfg);
   mon.add_port(10e9);
-  PortMonitor* p = mon.port(0);
 
-  p->on_enqueue(500, 500, 0, 100);   // below threshold: no burst
-  p->on_enqueue(700, 1200, 0, 200);  // crosses: burst opens at 200
-  p->on_enqueue(400, 1600, 0, 300);  // peak 1600
-  p->on_tx(500, 1100, 0, 400);       // still above threshold
-  p->on_tx(700, 400, 0, 500);        // closes: duration 300, peak 1600
-  p->on_enqueue(300, 700, 0, 600);   // below: no new burst
+  sim.run_until(100);
+  mon.on_enqueue(0, 0, frame(500, 0), 500);   // below threshold: no burst
+  sim.run_until(200);
+  mon.on_enqueue(0, 0, frame(700, 0), 1200);  // crosses: burst opens at 200
+  sim.run_until(300);
+  mon.on_enqueue(0, 0, frame(400, 0), 1600);  // peak 1600
+  sim.run_until(400);
+  mon.on_tx(0, 0, frame(500, 0), 1100);       // still above threshold
+  sim.run_until(500);
+  mon.on_tx(0, 0, frame(700, 0), 400);   // closes: duration 300, peak 1600
+  sim.run_until(600);
+  mon.on_enqueue(0, 0, frame(300, 0), 700);   // below: no new burst
 
   const TelemetryReport r = mon.snapshot(1000);
   EXPECT_EQ(r.ports[0].microburst_episodes, 1u);
@@ -87,20 +108,24 @@ TEST(PortMonitor, MicroburstEpisodeTracksDurationAndPeak) {
 TEST(PortMonitor, UtilizationEwmaOverWindows) {
   FabricConfig cfg;
   cfg.util_alpha = 0.5;
-  SwitchMonitor mon(0, cfg);
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 0, cfg);
   mon.add_port(8e9);  // 1 byte per ns
-  PortMonitor* p = mon.port(0);
 
   // Window 1 (0..1000 ns, capacity 1000 B): 500 B sent -> util 0.5.
-  p->on_enqueue(500, 500, 0, 10);
-  p->on_tx(500, 0, 0, 600);
+  sim.run_until(10);
+  mon.on_enqueue(0, 0, frame(500, 0), 500);
+  sim.run_until(600);
+  mon.on_tx(0, 0, frame(500, 0), 0);
   TelemetryReport r = mon.snapshot(1000);
   EXPECT_NEAR(r.ports[0].util_ewma, 0.5, 1e-9);
 
   // Window 2 (1000..2000 ns): 1000 B sent -> inst 1.0,
   // ewma = 0.5 * 1.0 + 0.5 * 0.5 = 0.75.
-  p->on_enqueue(1000, 1000, 0, 1100);
-  p->on_tx(1000, 0, 0, 1900);
+  sim.run_until(1100);
+  mon.on_enqueue(0, 0, frame(1000, 0), 1000);
+  sim.run_until(1900);
+  mon.on_tx(0, 0, frame(1000, 0), 0);
   r = mon.snapshot(2000);
   EXPECT_NEAR(r.ports[0].util_ewma, 0.75, 1e-9);
 }

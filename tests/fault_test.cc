@@ -222,7 +222,7 @@ TEST(FaultInjector, ControlFaultDropsWeightedPushes) {
   Bed bed;
   telemetry::TelemetryConfig tc;
   tc.metrics = true;
-  telemetry::Session session(tc);
+  telemetry::Session session(tc, bed.sim);
   bed.ctl.attach_telemetry(session.controller_probes());
   bed.inj.attach_telemetry(session.fault_probes());
 
@@ -255,7 +255,7 @@ TEST(FaultInjector, FlapExpandsIntoCountedTransitions) {
   Bed bed;
   telemetry::TelemetryConfig tc;
   tc.metrics = true;
-  telemetry::Session session(tc);
+  telemetry::Session session(tc, bed.sim);
   bed.ctl.attach_telemetry(session.controller_probes());
   bed.inj.attach_telemetry(session.fault_probes());
 

@@ -4,6 +4,8 @@
 // Sprinklers minus the ACK gate) is caught — proving the oracle fires.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/scenario.h"
 #include "lb/registry.h"
 
@@ -84,6 +86,27 @@ TEST(Ordering, FaultUnitsDisarmTheOracle) {
   sc.scheme = harness::Scheme::kSprinklers;
   sc.flows = {{0, 2, 1'000'000}, {1, 3, 500'000}};
   sc.fault_units = {"down@10ms leaf=2 spine=0; up@40ms leaf=2 spine=0"};
+  const RunOutcome out = run_scenario(sc);
+  EXPECT_FALSE(out.has_kind(OracleKind::kOrdering)) << out.report;
+  EXPECT_TRUE(out.ok) << out.report;
+}
+
+TEST(Ordering, GoBackNResendRunningPastSndHighIsNotFresh) {
+  // Seed 8286's minimal reproducer (fuzz_sim --seed 8286). After an RTO,
+  // go-back-N resends a segment that runs past snd_high, so the sender
+  // marks the whole segment fresh although its head carries bytes already
+  // sent once. The checker judges freshness from its own injection record:
+  // a frame injected below the flow's injected high-water mark is a resend,
+  // and an ECMP flow's resends may legitimately land behind the frontier.
+  Scenario sc;
+  std::string err;
+  ASSERT_TRUE(Scenario::parse(
+      "seed=8286 scheme=ecmp spines=2 leaves=2 hpl=2 gamma=1 buf=409600 "
+      "suspicion=0 cap_us=625000 "
+      "flows=1-3:1171576,1-3:1206385,0-3:23438,3-1:352141,1-3:304631,"
+      "0-3:1042263 rpcs=3-0:512x1,0-2:5978x2 faults=- bug=-",
+      &sc, &err))
+      << err;
   const RunOutcome out = run_scenario(sc);
   EXPECT_FALSE(out.has_kind(OracleKind::kOrdering)) << out.report;
   EXPECT_TRUE(out.ok) << out.report;

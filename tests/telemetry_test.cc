@@ -85,7 +85,8 @@ TEST(Snapshot, HistogramMergeCombinesBuckets) {
 TEST(Session, EagerlyRegistersFullKeySet) {
   TelemetryConfig cfg;
   cfg.metrics = true;
-  Session s(cfg);
+  sim::Simulation sim;
+  Session s(cfg, sim);
   const Snapshot snap = s.snapshot();
   // One representative per layer: net, offload, core, tcp, controller.
   EXPECT_TRUE(snap.counters.count("net.port.enqueued_packets"));
