@@ -45,10 +45,38 @@ double effective_floor(double floor, std::size_t n) {
   return std::min(std::max(floor, 0.0), 1.0 / static_cast<double>(n));
 }
 
-/// Normalizes non-negative `w` to sum 1 with every component >= `floor`
-/// (water-filling: floored components are pinned, the rest share the
-/// remaining mass proportionally). Terminates in <= n rounds.
-void normalize_with_floor(std::vector<double>& w, double floor) {
+/// One gain-scaled step from `prev` toward `target`, additionally scaled so
+/// no component moves by more than `max_delta`, written into `out`. Both
+/// inputs normalized; the result stays normalized (the step sums to zero)
+/// and each component stays between min(prev, target) and max(prev,
+/// target), so a floor respected by both endpoints is respected by the
+/// step.
+void clamped_step(const std::vector<double>& prev,
+                  const std::vector<double>& target, double alpha,
+                  double max_delta, std::vector<double>& out) {
+  const std::size_t n = prev.size();
+  out.resize(n);
+  double peak = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    peak = std::max(peak, alpha * std::abs(target[i] - prev[i]));
+  }
+  const double scale =
+      peak > max_delta && peak > 0 ? max_delta / peak : 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = prev[i] + alpha * scale * (target[i] - prev[i]);
+  }
+}
+
+}  // namespace
+
+double congestion_score(const TreeSignal& s) {
+  return kDropCoeff * s.drop_rate + kDepthCoeff * s.depth_frac +
+         kUtilCoeff * std::max(0.0, s.util - kUtilKnee);
+}
+
+/// Water-filling: floored components are pinned, the rest share the
+/// remaining mass proportionally. Terminates in <= n rounds.
+void Reweighter::normalize_with_floor(std::vector<double>& w, double floor) {
   const std::size_t n = w.size();
   if (n == 0) return;
   double sum = 0;
@@ -57,16 +85,16 @@ void normalize_with_floor(std::vector<double>& w, double floor) {
     sum += v;
   }
   if (sum <= 0) {
-    w = uniform_weights(n);
+    std::fill(w.begin(), w.end(), 1.0 / static_cast<double>(n));
     return;
   }
   for (double& v : w) v /= sum;
-  std::vector<bool> pinned(n, false);
+  pinned_.assign(n, 0);
   for (std::size_t round = 0; round < n; ++round) {
     std::size_t pinned_count = 0;
     double free_sum = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (pinned[i]) {
+      if (pinned_[i]) {
         ++pinned_count;
       } else {
         free_sum += w[i];
@@ -76,12 +104,12 @@ void normalize_with_floor(std::vector<double>& w, double floor) {
         1.0 - floor * static_cast<double>(pinned_count);
     bool newly_pinned = false;
     for (std::size_t i = 0; i < n; ++i) {
-      if (pinned[i]) continue;
+      if (pinned_[i]) continue;
       const double scaled = free_sum > 0
                                 ? w[i] / free_sum * need
                                 : need / static_cast<double>(n - pinned_count);
       if (scaled < floor) {
-        pinned[i] = true;
+        pinned_[i] = 1;
         w[i] = floor;
         newly_pinned = true;
       } else {
@@ -92,65 +120,15 @@ void normalize_with_floor(std::vector<double>& w, double floor) {
   }
 }
 
-/// One gain-scaled step from `prev` toward `target`, additionally scaled so
-/// no component moves by more than `max_delta`. Both inputs normalized; the
-/// result stays normalized (the step sums to zero) and each component stays
-/// between min(prev, target) and max(prev, target), so a floor respected by
-/// both endpoints is respected by the step.
-std::vector<double> clamped_step(const std::vector<double>& prev,
-                                 const std::vector<double>& target,
-                                 double alpha, double max_delta) {
-  const std::size_t n = prev.size();
-  std::vector<double> out(n);
-  double peak = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    peak = std::max(peak, alpha * std::abs(target[i] - prev[i]));
-  }
-  const double scale =
-      peak > max_delta && peak > 0 ? max_delta / peak : 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = prev[i] + alpha * scale * (target[i] - prev[i]);
-  }
-  return out;
-}
-
-/// The normalized desirability target the reactive pass steps toward.
-std::vector<double> congestion_target(const std::vector<TreeSignal>& signals,
-                                      const ControlLoopConfig& cfg) {
-  const std::size_t n = signals.size();
-  std::vector<double> target(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    target[i] = 1.0 / (1.0 + congestion_score(signals[i]));
-  }
-  normalize_with_floor(target, effective_floor(cfg.min_weight, n));
-  return target;
-}
-
-}  // namespace
-
-double congestion_score(const TreeSignal& s) {
-  return kDropCoeff * s.drop_rate + kDepthCoeff * s.depth_frac +
-         kUtilCoeff * std::max(0.0, s.util - kUtilKnee);
-}
-
-std::vector<double> reweight(const std::vector<double>& prev,
-                             const std::vector<TreeSignal>& signals,
-                             const ControlLoopConfig& cfg) {
-  if (prev.empty() || prev.size() != signals.size()) return prev;
-  return clamped_step(prev, congestion_target(signals, cfg), cfg.gain,
-                      cfg.max_delta);
-}
-
-double horizon_cost(const std::vector<double>& w,
-                    const std::vector<double>& prev,
-                    const std::vector<TreeSignal>& signals,
-                    const ControlLoopConfig& cfg) {
+double Reweighter::horizon_cost(const std::vector<double>& w,
+                                const std::vector<double>& prev,
+                                const std::vector<TreeSignal>& signals,
+                                const ControlLoopConfig& cfg) {
   const std::size_t n = w.size();
-  if (n == 0 || signals.size() != n) return 0;
   double load = 0;
-  std::vector<double> q(n);
+  queue_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    q[i] = signals[i].depth_frac;
+    queue_[i] = signals[i].depth_frac;
     load += signals[i].load_share;
   }
   double cost = 0;
@@ -163,8 +141,8 @@ double horizon_cost(const std::vector<double>& w,
           0.05, 1.0 - std::min(0.95, kServiceDropPenalty *
                                          signals[i].drop_rate));
       const double arrival = load * w[i] * static_cast<double>(n);
-      q[i] = std::max(0.0, q[i] + arrival - service);
-      cost += q[i] * q[i] + kLossCost * w[i] * signals[i].drop_rate;
+      queue_[i] = std::max(0.0, queue_[i] + arrival - service);
+      cost += queue_[i] * queue_[i] + kLossCost * w[i] * signals[i].drop_rate;
     }
   }
   const double uniform = 1.0 / static_cast<double>(n);
@@ -177,37 +155,52 @@ double horizon_cost(const std::vector<double>& w,
   return cost;
 }
 
-std::vector<double> predictive_refine(const std::vector<double>& base,
-                                      const std::vector<double>& prev,
-                                      const std::vector<TreeSignal>& signals,
-                                      const ControlLoopConfig& cfg) {
-  const std::size_t n = base.size();
-  if (cfg.horizon == 0 || n == 0 || signals.size() != n) return base;
-  const std::vector<double> target = congestion_target(signals, cfg);
-  std::vector<double> uniform = uniform_weights(n);
-  normalize_with_floor(uniform, effective_floor(cfg.min_weight, n));
-  // Candidate order is fixed and ties break toward the earlier entry, so
-  // the choice is deterministic. Every candidate is a clamped step from
-  // `prev`, so the per-period delta bound and the floor hold regardless of
-  // which one wins.
-  const std::vector<std::vector<double>> candidates = {
-      base,
-      prev,
-      clamped_step(prev, target, cfg.gain * 0.5, cfg.max_delta),
-      clamped_step(prev, target, std::min(1.0, cfg.gain * 2.0),
-                   cfg.max_delta),
-      clamped_step(prev, uniform, cfg.gain, cfg.max_delta),
-  };
-  std::size_t best = 0;
-  double best_cost = horizon_cost(candidates[0], prev, signals, cfg);
-  for (std::size_t c = 1; c < candidates.size(); ++c) {
-    const double cost = horizon_cost(candidates[c], prev, signals, cfg);
+void Reweighter::step(const std::vector<double>& prev,
+                      const std::vector<TreeSignal>& signals,
+                      const ControlLoopConfig& cfg, std::vector<double>& out) {
+  const std::size_t n = prev.size();
+  if (n == 0 || signals.size() != n) {
+    out.assign(prev.begin(), prev.end());
+    return;
+  }
+  const double floor = effective_floor(cfg.min_weight, n);
+  // Reactive pass: the normalized desirability target, one clamped step.
+  target_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    target_[i] = 1.0 / (1.0 + congestion_score(signals[i]));
+  }
+  normalize_with_floor(target_, floor);
+  std::vector<double>& reactive = steps_[0];
+  clamped_step(prev, target_, cfg.gain, cfg.max_delta, reactive);
+  if (cfg.horizon == 0) {
+    out.assign(reactive.begin(), reactive.end());
+    return;
+  }
+  // Predictive pass. Candidate order is fixed and ties break toward the
+  // earlier entry, so the choice is deterministic. Every candidate is a
+  // clamped step from `prev`, so the per-period delta bound and the floor
+  // hold regardless of which one wins.
+  if (uniform_.size() != n || uniform_floor_ != floor) {
+    uniform_.assign(n, 1.0 / static_cast<double>(n));
+    normalize_with_floor(uniform_, floor);
+    uniform_floor_ = floor;
+  }
+  clamped_step(prev, target_, cfg.gain * 0.5, cfg.max_delta, steps_[1]);
+  clamped_step(prev, target_, std::min(1.0, cfg.gain * 2.0), cfg.max_delta,
+               steps_[2]);
+  clamped_step(prev, uniform_, cfg.gain, cfg.max_delta, steps_[3]);
+  const std::vector<double>* candidates[] = {&reactive, &prev, &steps_[1],
+                                             &steps_[2], &steps_[3]};
+  const std::vector<double>* best = candidates[0];
+  double best_cost = horizon_cost(*best, prev, signals, cfg);
+  for (std::size_t c = 1; c < std::size(candidates); ++c) {
+    const double cost = horizon_cost(*candidates[c], prev, signals, cfg);
     if (cost < best_cost) {
-      best = c;
+      best = candidates[c];
       best_cost = cost;
     }
   }
-  return candidates[best];
+  out.assign(best->begin(), best->end());
 }
 
 std::string ControlLoopConfig::spec() const {
@@ -271,10 +264,9 @@ void ControlLoop::tick() {
   // land after the plane's report delay, so the signals below reflect the
   // previous rounds — one period of feedback latency, as on a real fabric.
   plane_.flush_now();
-  const std::vector<TreeSignal> signals = gather_signals();
-  std::vector<double> next = reweight(weights_, signals, cfg_);
-  next = predictive_refine(next, weights_, signals, cfg_);
-  weights_ = std::move(next);
+  gather_signals();
+  reweighter_.step(weights_, signals_, cfg_, next_);
+  weights_.swap(next_);
   double diff = 0;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     diff = std::max(diff, std::abs(weights_[i] - last_pushed_[i]));
@@ -296,20 +288,22 @@ void ControlLoop::tick() {
   }
 }
 
-std::vector<TreeSignal> ControlLoop::gather_signals() {
+void ControlLoop::gather_signals() {
   using telemetry::fabric::kLabelBuckets;
   using telemetry::fabric::kNonLabelBucket;
   const std::vector<Tree>& trees = ctl_.trees();
   const std::size_t n = trees.size();
-  std::vector<TreeSignal> sig(n);
-  if (n == 0) return sig;
+  std::vector<TreeSignal>& sig = signals_;
+  sig.assign(n, TreeSignal{});
+  if (n == 0) return;
   const sim::Time now = sim_.now();
   const sim::Time stale_after =
       cfg_.period * static_cast<sim::Time>(cfg_.stale_after_periods);
   // Minimum per-switch packet attempts before a drop ratio is trusted —
   // one lost packet out of two is noise, not a gray link.
   constexpr std::uint64_t kMinAttempts = 4;
-  std::vector<std::uint64_t> tx_b(n, 0);
+  std::vector<std::uint64_t>& tx_b = tree_bytes_;
+  tx_b.assign(n, 0);
   plane_.collector().for_each_latest([&](std::uint32_t id,
                                          const telemetry::fabric::
                                              TelemetryReport& r) {
@@ -322,20 +316,15 @@ std::vector<TreeSignal> ControlLoop::gather_signals() {
       return;
     }
     SwitchSnapshot& snap = snapshots_[id];
-    if (snap.tx_packets.empty()) {
-      snap.tx_packets.assign(kLabelBuckets, 0);
-      snap.tx_bytes.assign(kLabelBuckets, 0);
-      snap.drop_packets.assign(kLabelBuckets, 0);
-    }
     if (r.seq > snap.seq) {
       for (std::size_t b = 0; b < kLabelBuckets && b < n; ++b) {
         if (b == kNonLabelBucket) continue;
         // Reports are cumulative, so the delta against the previous
         // accepted snapshot is this switch's window contribution.
-        const std::uint64_t d_tx = r.labels[b].tx_packets - snap.tx_packets[b];
-        const std::uint64_t d_dr =
-            r.labels[b].drop_packets - snap.drop_packets[b];
-        tx_b[b] += r.labels[b].tx_bytes - snap.tx_bytes[b];
+        const telemetry::fabric::LabelTotals& base = snap.labels[b];
+        const std::uint64_t d_tx = r.labels[b].tx_packets - base.tx_packets;
+        const std::uint64_t d_dr = r.labels[b].drop_packets - base.drop_packets;
+        tx_b[b] += r.labels[b].tx_bytes - base.tx_bytes;
         // A tree is only as healthy as its sickest hop: score each tree by
         // the worst per-switch loss ratio, not the fleet-wide sum — a gray
         // leaf-spine link must not be averaged away by the healthy traffic
@@ -347,11 +336,7 @@ std::vector<TreeSignal> ControlLoop::gather_signals() {
               static_cast<double>(d_dr) / static_cast<double>(attempts));
         }
       }
-      for (std::size_t b = 0; b < kLabelBuckets; ++b) {
-        snap.tx_packets[b] = r.labels[b].tx_packets;
-        snap.tx_bytes[b] = r.labels[b].tx_bytes;
-        snap.drop_packets[b] = r.labels[b].drop_packets;
-      }
+      snap.labels = r.labels;
       snap.seq = r.seq;
     }
     // Queue/utilization gauges attach to the trees rooted at this switch
@@ -383,7 +368,6 @@ std::vector<TreeSignal> ControlLoop::gather_signals() {
                          : static_cast<double>(tx_b[t]) /
                                static_cast<double>(total_bytes);
   }
-  return sig;
 }
 
 std::string ControlLoop::history_json() const {

@@ -30,9 +30,12 @@
 //
 // All arithmetic is plain double over deterministic inputs, so two runs of
 // the same experiment produce bit-identical weight trajectories (the
-// golden closed-loop digests pin this).
+// golden closed-loop digests pin this). A tick works in buffers the loop
+// owns and reuses, so once they have grown on the first tick the only
+// allocation a tick makes is its bounded history entry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -41,6 +44,7 @@
 #include "sim/digest.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "telemetry/fabric/report.h"
 
 namespace presto::telemetry::fabric {
 class FabricPlane;
@@ -95,38 +99,58 @@ struct TreeSignal {
 /// then utilization above a 70% knee.
 double congestion_score(const TreeSignal& s);
 
-/// Reactive proportional pass. `prev` must be normalized (sums to 1);
-/// the result is normalized, moves no component by more than
-/// `cfg.max_delta`, and respects the `cfg.min_weight` floor provided
-/// `prev` does. With all-equal scores the result converges geometrically
-/// to uniform; a persistently congested tree loses weight monotonically
-/// until it reaches its target share.
-std::vector<double> reweight(const std::vector<double>& prev,
-                             const std::vector<TreeSignal>& signals,
-                             const ControlLoopConfig& cfg);
+/// The per-period re-weighting math, with the buffers it works in.
+///
+/// step() runs two passes. The reactive proportional pass steps from
+/// `prev` toward the normalized desirability target. The predictive pass
+/// then scores that step against a deterministic candidate family — hold,
+/// half- and double-gain steps, a step toward uniform — and keeps the
+/// cheapest under horizon_cost(); ties break toward the earlier candidate,
+/// so the choice is deterministic. With cfg.horizon == 0 the predictive
+/// pass is disabled and the reactive step is the result.
+///
+/// `prev` must be normalized (sums to 1). The result is normalized, moves
+/// no component by more than `cfg.max_delta`, and respects the
+/// `cfg.min_weight` floor provided `prev` does: every candidate is a
+/// clamped step from `prev`. With all-equal scores the result converges
+/// geometrically to uniform; a persistently congested tree loses weight
+/// monotonically until it reaches its target share.
+///
+/// The congestion target is computed once per step and the floored
+/// uniform vector once per (tree count, floor); the buffers grow on first
+/// use and are reused, so a step allocates nothing after that.
+class Reweighter {
+ public:
+  /// Writes the next weight vector into `out`, which must not alias
+  /// `prev`. A `prev` that is empty or does not match `signals` in size
+  /// is returned unchanged.
+  void step(const std::vector<double>& prev,
+            const std::vector<TreeSignal>& signals,
+            const ControlLoopConfig& cfg, std::vector<double>& out);
 
-/// Cost of holding weight vector `w` for `cfg.horizon` periods under a
-/// queue-drain + expected-load model seeded from `signals`: per step each
-/// tree's normalized queue evolves as q' = max(0, q + load*w*n - service)
-/// with service capacity degraded by the tree's drop rate; the cost sums
-/// quadratic queue backlog, expected loss, and a control-effort penalty
-/// on the move away from `prev`.
-double horizon_cost(const std::vector<double>& w,
-                    const std::vector<double>& prev,
-                    const std::vector<TreeSignal>& signals,
-                    const ControlLoopConfig& cfg);
+ private:
+  /// Normalizes non-negative `w` to sum 1 with every component >= `floor`.
+  void normalize_with_floor(std::vector<double>& w, double floor);
+  /// Cost of holding weight vector `w` for `cfg.horizon` periods under a
+  /// queue-drain + expected-load model seeded from `signals`: per step each
+  /// tree's normalized queue evolves as q' = max(0, q + load*w*n - service)
+  /// with service capacity degraded by the tree's drop rate; the cost sums
+  /// quadratic queue backlog, expected loss, and a control-effort penalty
+  /// on the move away from `prev`.
+  double horizon_cost(const std::vector<double>& w,
+                      const std::vector<double>& prev,
+                      const std::vector<TreeSignal>& signals,
+                      const ControlLoopConfig& cfg);
 
-/// MPC-flavored predictive pass: scores `base` (the reactive result)
-/// against a deterministic candidate family — hold, half/double-gain
-/// steps, a step toward uniform — and returns the cheapest under
-/// horizon_cost(). Every candidate respects the same per-period delta
-/// clamp and floor as reweight(); ties break toward the earlier
-/// candidate, so the choice is deterministic. With cfg.horizon == 0 the
-/// pass is disabled and `base` is returned unchanged.
-std::vector<double> predictive_refine(const std::vector<double>& base,
-                                      const std::vector<double>& prev,
-                                      const std::vector<TreeSignal>& signals,
-                                      const ControlLoopConfig& cfg);
+  std::vector<double> target_;   ///< normalized desirability target
+  std::vector<double> uniform_;  ///< floored uniform vector
+  double uniform_floor_ = -1.0;  ///< floor uniform_ was built for
+  std::vector<char> pinned_;     ///< water-filling pin set
+  std::vector<double> queue_;    ///< horizon_cost's queue model
+  /// Candidate steps besides "hold" (which is `prev` itself): the
+  /// reactive step, half gain, double gain, toward uniform.
+  std::array<std::vector<double>, 4> steps_;
+};
 
 class ControlLoop {
  public:
@@ -172,18 +196,18 @@ class ControlLoop {
 
  private:
   void tick();
-  /// Distills per-tree signals from the collector's latest reports,
-  /// updating the per-switch cumulative snapshots for fresh reports and
-  /// counting stale ones.
-  std::vector<TreeSignal> gather_signals();
+  /// Distills per-tree signals from the collector's latest reports into
+  /// signals_, updating the per-switch cumulative snapshots for fresh
+  /// reports and counting stale ones.
+  void gather_signals();
 
   /// Previous cumulative per-label counters of one switch (the window
   /// baseline), advanced only when that switch's report is fresh.
   struct SwitchSnapshot {
     std::uint64_t seq = 0;
-    std::vector<std::uint64_t> tx_packets;
-    std::vector<std::uint64_t> tx_bytes;
-    std::vector<std::uint64_t> drop_packets;
+    std::array<telemetry::fabric::LabelTotals,
+               telemetry::fabric::kLabelBuckets>
+        labels{};
   };
 
   sim::Simulation& sim_;
@@ -198,6 +222,11 @@ class ControlLoop {
   /// Per-tree drop-signal peak-hold (bursty loss must persist across the
   /// periods that sample the Gilbert-Elliott good state).
   std::vector<double> drop_hold_;
+  // Per-tick working buffers, reused across ticks.
+  std::vector<TreeSignal> signals_;
+  std::vector<std::uint64_t> tree_bytes_;  ///< window label bytes per tree
+  std::vector<double> next_;
+  Reweighter reweighter_;
   std::vector<HistoryEntry> history_;
   std::uint64_t ticks_ = 0;
   std::uint64_t pushes_ = 0;

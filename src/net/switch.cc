@@ -21,18 +21,10 @@ PortId Switch::resolve(const Packet& p) const {
     return out;
   }
   if (auto it = ecmp_groups_.find(p.dst_host); it != ecmp_groups_.end()) {
-    const auto& members = it->second;
-    if (members.empty()) return kInvalidPort;
-    // Hash over live members only so a down link does not blackhole flows
-    // hashed onto it (commodity ECMP rebalances on link-down).
-    std::vector<PortId> alive;
-    alive.reserve(members.size());
-    for (PortId m : members) {
-      if (!ports_[static_cast<std::size_t>(m)]->down()) alive.push_back(m);
-    }
-    const auto& pool = alive.empty() ? members : alive;
     const std::uint64_t h = mix64(p.flow.hash() ^ p.ecmp_extra ^ salt_);
-    return pool[h % pool.size()];
+    return ecmp_pick(it->second, h, [this](PortId m) {
+      return ports_[static_cast<std::size_t>(m)]->down();
+    });
   }
   return kInvalidPort;
 }

@@ -28,6 +28,28 @@
 
 namespace presto::net {
 
+/// ECMP member choice for flow hash `h`: the (h % live)-th live member of
+/// `members`, or members[h % size] when none is live. Hashing over live
+/// members only keeps a down link from blackholing the flows hashed onto
+/// it (commodity ECMP rebalances on link-down). `down(m)` says whether
+/// member `m`'s link is down. Allocation-free: the live members are
+/// counted, then walked to the chosen one.
+template <typename IsDown>
+PortId ecmp_pick(const std::vector<PortId>& members, std::uint64_t h,
+                 IsDown&& down) {
+  if (members.empty()) return kInvalidPort;
+  std::size_t live = 0;
+  for (PortId m : members) live += down(m) ? 0 : 1;
+  if (live == 0 || live == members.size()) {
+    return members[h % members.size()];
+  }
+  std::uint64_t k = h % live;
+  for (PortId m : members) {
+    if (!down(m) && k-- == 0) return m;
+  }
+  return kInvalidPort;  // unreachable: k < live
+}
+
 class Switch : public PacketSink {
  public:
   Switch(sim::Simulation& sim, SwitchId id, std::string name)

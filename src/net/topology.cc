@@ -1,8 +1,21 @@
 #include "net/topology.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace presto::net {
+
+namespace {
+
+/// Switch name `<prefix><n>`. Built by appending: GCC 12 reports a false
+/// -Wrestrict on `"S" + std::to_string(n)` once inlined.
+std::string numbered(char prefix, std::uint32_t n) {
+  std::string name(1, prefix);
+  name += std::to_string(n);
+  return name;
+}
+
+}  // namespace
 
 const char* topology_kind_id(TopologyKind k) {
   switch (k) {
@@ -137,11 +150,11 @@ std::unique_ptr<Topology> make_clos(sim::Simulation& sim,
   std::vector<SwitchId> spines;
   spines.reserve(num_spines);
   for (std::uint32_t i = 0; i < num_spines; ++i) {
-    spines.push_back(topo->add_switch("S" + std::to_string(i + 1), false));
+    spines.push_back(topo->add_switch(numbered('S', i + 1), false));
   }
   for (std::uint32_t i = 0; i < num_leaves; ++i) {
     const SwitchId leaf =
-        topo->add_switch("L" + std::to_string(i + 1), true);
+        topo->add_switch(numbered('L', i + 1), true);
     for (std::size_t si = 0; si < spines.size(); ++si) {
       LinkConfig fabric = params.fabric_link;
       if (si < params.spine_rate_scale.size()) {
@@ -167,7 +180,7 @@ std::unique_ptr<Topology> make_leaf_mesh(sim::Simulation& sim,
   std::vector<SwitchId> leaves;
   leaves.reserve(num_leaves);
   for (std::uint32_t i = 0; i < num_leaves; ++i) {
-    leaves.push_back(topo->add_switch("M" + std::to_string(i + 1), true));
+    leaves.push_back(topo->add_switch(numbered('M', i + 1), true));
   }
   // Hosts are added leaf-major so HostId / hosts_per_leaf matches the
   // logical rack, exactly like make_clos.

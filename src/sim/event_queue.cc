@@ -1,7 +1,9 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <iterator>
 
 namespace presto::sim {
 
@@ -27,8 +29,10 @@ void EventQueue::push(Time when, EventFn fn) {
   if (size_ == 0) {
     // Empty queue: re-anchor the window at this event's bucket so sparse
     // schedules never walk the window forward bucket by bucket. The bucket
-    // last drained may still hold moved-from items — recycle it first.
+    // last drained may still hold moved-from items — recycle it first; it
+    // is the only one that can, so every occupancy bit goes with it.
     if (cur_ < kBucketCount) buckets_[cur_].clear();
+    std::fill(std::begin(occupied_), std::end(occupied_), 0);
     start_ = align_down(when);
     cur_ = 0;
     run_built_ = false;
@@ -48,9 +52,8 @@ void EventQueue::push(Time when, EventFn fn) {
     // new key through the spawn run. Keys pushed here are below every other
     // bucket's range, so taking min(run head, spawn head) stays globally
     // correct even for un-clamped past timestamps.
-    auto& b = buckets_[cur_];
-    const auto idx = static_cast<std::uint32_t>(b.size());
-    b.push_back(Item{when, std::move(fn)});
+    const auto idx = static_cast<std::uint32_t>(buckets_[cur_].size());
+    add_to_bucket(cur_, when, std::move(fn));
     if (run_built_) {
       const OrderKey key{when, idx};
       // Re-entrant schedules are overwhelmingly monotone (at or after the
@@ -70,11 +73,27 @@ void EventQueue::push(Time when, EventFn fn) {
   const std::uint64_t delta =
       static_cast<std::uint64_t>(when) - static_cast<std::uint64_t>(start_);
   if (delta < kSpan) {
-    buckets_[delta >> kBucketShift].push_back(Item{when, std::move(fn)});
+    add_to_bucket(delta >> kBucketShift, when, std::move(fn));
     return;
   }
   far_.push_back(FarItem{when, far_seq_++, std::move(fn)});
   std::push_heap(far_.begin(), far_.end());
+}
+
+void EventQueue::add_to_bucket(std::size_t b, Time when, EventFn&& fn) {
+  buckets_[b].push_back(Item{when, std::move(fn)});
+  occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+}
+
+std::size_t EventQueue::next_occupied(std::size_t from) const {
+  std::size_t w = from >> 6;
+  if (w >= kWords) return kBucketCount;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == kWords) return kBucketCount;
+    bits = occupied_[w];
+  }
+  return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void EventQueue::build_run() {
@@ -106,8 +125,7 @@ void EventQueue::refill_from_far() {
     if (delta >= kSpan) break;
     std::pop_heap(far_.begin(), far_.end());
     FarItem& it = far_.back();
-    buckets_[delta >> kBucketShift].push_back(
-        Item{it.when, std::move(it.fn)});
+    add_to_bucket(delta >> kBucketShift, it.when, std::move(it.fn));
     far_.pop_back();
   }
 }
@@ -118,6 +136,7 @@ void EventQueue::settle() {
       if (run_pos_ < run_.size() || spawn_pos_ < spawn_.size()) return;
       // Current bucket fully drained: recycle its storage (capacity kept).
       buckets_[cur_].clear();
+      occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
       run_.clear();
       run_pos_ = 0;
       spawn_.clear();
@@ -125,7 +144,7 @@ void EventQueue::settle() {
       run_built_ = false;
       ++cur_;
     }
-    while (cur_ < kBucketCount && buckets_[cur_].empty()) ++cur_;
+    cur_ = next_occupied(cur_);
     if (cur_ < kBucketCount) {
       build_run();
       return;

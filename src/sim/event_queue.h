@@ -14,7 +14,10 @@
 //
 // Steady-state cost per event is O(1) amortized pushes plus an O(k log k)
 // sort per k-event bucket, with zero heap allocations once bucket capacity
-// has warmed up (vectors are cleared, never shrunk).
+// has warmed up (vectors are cleared, never shrunk). A 1024-bit occupancy
+// bitmap mirrors which buckets hold events, so reaching the next event
+// across a sparse window costs one word scan per 64 buckets instead of one
+// emptiness test per bucket.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +67,7 @@ class EventQueue {
   static constexpr std::size_t kBucketCount = 1024;
   static constexpr std::uint64_t kSpan =
       kBucketCount << kBucketShift;  ///< window width in ns
+  static constexpr std::size_t kWords = kBucketCount / 64;
 
   struct Item {
     Time when;
@@ -104,8 +108,15 @@ class EventQueue {
   void refill_from_far();
   /// True if the spawn head precedes the run head.
   bool spawn_first() const;
+  /// Appends to bucket `b` and marks it occupied.
+  void add_to_bucket(std::size_t b, Time when, EventFn&& fn);
+  /// First occupied bucket at or after `from`, or kBucketCount.
+  std::size_t next_occupied(std::size_t from) const;
 
   std::vector<Item> buckets_[kBucketCount];
+  /// Bit b set <=> buckets_[b] is non-empty (the bucket being drained keeps
+  /// its bit until it is recycled).
+  std::uint64_t occupied_[kWords] = {};
   /// Events beyond the current window, as a (when, seq) min-heap: window
   /// advances pop exactly the events that enter the new window instead of
   /// rescanning every far-dated timer.

@@ -34,7 +34,10 @@ class DDSketch {
   /// Values with magnitude below this land in the zero bucket.
   static constexpr double kMinIndexable = 1e-9;
 
-  explicit DDSketch(double alpha = kDefaultAlpha,
+  /// Default accuracy and bound. Not explicit, so aggregates holding a
+  /// sketch can be copy-list-initialized (`RunResult{}`).
+  DDSketch() : DDSketch(kDefaultAlpha) {}
+  explicit DDSketch(double alpha,
                     std::size_t max_buckets = kDefaultMaxBuckets);
 
   /// Adds one value. Any finite double is accepted; magnitudes below

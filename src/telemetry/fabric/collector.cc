@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace presto::telemetry::fabric {
 
@@ -28,7 +29,7 @@ void FabricCollector::expect_switch(std::uint32_t id, std::size_t ports) {
   st.hot_streak.assign(ports, 0);
 }
 
-void FabricCollector::on_report(const TelemetryReport& r, sim::Time arrival) {
+void FabricCollector::on_report(TelemetryReport&& r, sim::Time arrival) {
   SwitchState& st = switches_[r.switch_id];
   ++st.acct.received;
   if (st.acct.has_report && r.seq <= st.acct.last_seq) {
@@ -57,7 +58,7 @@ void FabricCollector::on_report(const TelemetryReport& r, sim::Time arrival) {
       st.hot_streak[i] = 0;
     }
   }
-  st.latest = r;
+  std::swap(st.latest, r);
 }
 
 void FabricCollector::aggregate_labels(std::vector<LabelAgg>& agg,
@@ -70,8 +71,9 @@ void FabricCollector::aggregate_labels(std::vector<LabelAgg>& agg,
       agg[b].tx_packets += st.latest.labels[b].tx_packets;
       agg[b].tx_bytes += st.latest.labels[b].tx_bytes;
       agg[b].drop_packets += st.latest.labels[b].drop_packets;
-      if (b < st.latest.label_depth.size()) {
-        depth[b].merge(st.latest.label_depth[b]);
+      if (st.latest.label_depth != nullptr &&
+          b < st.latest.label_depth->size()) {
+        depth[b].merge((*st.latest.label_depth)[b]);
       }
     }
   }

@@ -52,8 +52,11 @@ class FabricCollector {
   /// that never reports shows up as silent. Called by the plane at attach.
   void expect_switch(std::uint32_t id, std::size_t ports);
 
-  /// Delivers one report frame at `arrival` (idempotent; see above).
-  void on_report(const TelemetryReport& r, sim::Time arrival);
+  /// Delivers one report frame at `arrival` (idempotent; see above). An
+  /// accepted report is swapped in as the switch's latest, leaving `r`
+  /// holding the previous latest report — storage the caller reuses for
+  /// its next snapshot. A duplicate or stale frame leaves `r` untouched.
+  void on_report(TelemetryReport&& r, sim::Time arrival);
 
   const Accounting* accounting(std::uint32_t id) const {
     const auto it = switches_.find(id);

@@ -3,11 +3,23 @@
 namespace presto::telemetry::fabric {
 
 void PortMonitor::close_window(sim::Time now, sim::Time window_start,
-                               PortReport& out) {
+                               PortReport& out,
+                               std::array<LabelTotals, kLabelBuckets>& labels) {
   // Fold the hot-path counters into the report (the hot path maintains
-  // only the label rows and the compact hot cluster).
-  r_.tx_packets = total_tx_packets();
-  r_.tx_bytes = total_tx_bytes();
+  // only the label rows and the compact hot cluster): one walk of the
+  // label rows yields the port totals and the switch-level label sums.
+  std::uint64_t tx_packets = 0;
+  std::uint64_t tx_bytes = 0;
+  for (std::size_t b = 0; b < kLabelBuckets; ++b) {
+    const LabelTotals& l = labels_[b];
+    tx_packets += l.tx_packets;
+    tx_bytes += l.tx_bytes;
+    labels[b].tx_packets += l.tx_packets;
+    labels[b].tx_bytes += l.tx_bytes;
+    labels[b].drop_packets += l.drop_packets;
+  }
+  r_.tx_packets = tx_packets;
+  r_.tx_bytes = tx_bytes;
   r_.enqueued_packets = enqueued_packets_;
   const sim::Time dt = now - window_start;
   if (dt > 0 && rate_bps_ > 0) {
@@ -37,27 +49,28 @@ void PortMonitor::close_window(sim::Time now, sim::Time window_start,
   out = r_;
 }
 
-TelemetryReport SwitchMonitor::snapshot(sim::Time now) {
-  TelemetryReport rep;
-  rep.switch_id = id_;
-  rep.seq = ++seq_;
-  rep.emitted_at = now;
-  rep.ports.resize(ports_.size());
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    ports_[i].close_window(now, window_start_, rep.ports[i]);
-    const auto& pl = ports_[i].labels();
-    for (std::size_t b = 0; b < kLabelBuckets; ++b) {
-      rep.labels[b].tx_packets += pl[b].tx_packets;
-      rep.labels[b].tx_bytes += pl[b].tx_bytes;
-      rep.labels[b].drop_packets += pl[b].drop_packets;
-    }
-  }
+void SwitchMonitor::snapshot(sim::Time now, TelemetryReport& out) {
+  out.switch_id = id_;
+  out.seq = ++seq_;
+  out.emitted_at = now;
+  out.ports.resize(ports_.size());
   for (std::size_t b = 0; b < kLabelBuckets; ++b) {
-    rep.labels[b].drop_packets += label_no_route_[b];
+    out.labels[b] = LabelTotals{0, 0, label_no_route_[b]};
   }
-  rep.label_depth = sketches_;  // cumulative copy; collector dedupes on seq
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    ports_[i].close_window(now, window_start_, out.ports[i], out.labels);
+  }
+  // Sketch counts only grow, so an unchanged total means no sample landed
+  // and the published copy still equals sketches_.
+  std::uint64_t samples = 0;
+  for (const stats::DDSketch& s : sketches_) samples += s.count();
+  if (published_ == nullptr || samples != published_samples_) {
+    published_ =
+        std::make_shared<const std::vector<stats::DDSketch>>(sketches_);
+    published_samples_ = samples;
+  }
+  out.label_depth = published_;  // collector dedupes on seq
   window_start_ = now;
-  return rep;
 }
 
 void SwitchMonitor::digest_state(sim::Digest& d) const {

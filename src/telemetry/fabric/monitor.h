@@ -13,13 +13,15 @@
 // bucket ranges cover the observed queue depths.
 //
 // snapshot() closes a flush window: it updates the utilization EWMA and the
-// decayed high-watermark and emits a cumulative TelemetryReport (see
-// report.h for the idempotence contract). digest_state() folds the raw
-// monitor state without side effects, for the soak-tier digests.
+// decayed high-watermark and writes a cumulative TelemetryReport into the
+// caller's storage (see report.h for the idempotence and ownership
+// contract). digest_state() folds the raw monitor state without side
+// effects, for the soak-tier digests.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/packet.h"
@@ -107,7 +109,8 @@ class PortMonitor {
   }
 
   /// Port tx totals, derived from the per-label counters (the hot path
-  /// maintains only those).
+  /// maintains only those). Used by digest_state; window close derives
+  /// them in its own single walk of the label rows.
   std::uint64_t total_tx_packets() const {
     std::uint64_t n = 0;
     for (const LabelTotals& l : labels_) n += l.tx_packets;
@@ -120,9 +123,10 @@ class PortMonitor {
   }
 
   /// Closes a flush window: folds the window's transmitted bytes into the
-  /// utilization EWMA, decays the high-watermark, and writes the
-  /// cumulative state into `out`.
-  void close_window(sim::Time now, sim::Time window_start, PortReport& out);
+  /// utilization EWMA, decays the high-watermark, writes the cumulative
+  /// state into `out`, and adds this port's label rows into `labels`.
+  void close_window(sim::Time now, sim::Time window_start, PortReport& out,
+                    std::array<LabelTotals, kLabelBuckets>& labels);
 
   // Hot cluster first: every field the inline hooks read or write sits in
   // the first two cache lines, ahead of the 400+-byte label array and the
@@ -197,9 +201,11 @@ class SwitchMonitor final : public net::WireTap {
 
   std::uint64_t no_route_drops() const { return no_route_drops_; }
 
-  /// Closes the current flush window on every port and emits the next
-  /// cumulative report (seq is 1-based and monotone).
-  TelemetryReport snapshot(sim::Time now);
+  /// Closes the current flush window on every port and writes the next
+  /// cumulative report (seq is 1-based and monotone) over `out`, reusing
+  /// its storage. The depth sketches are copied only if a sample landed
+  /// since the previous snapshot; otherwise `out` shares that snapshot's.
+  void snapshot(sim::Time now, TelemetryReport& out);
 
   /// Side-effect-free fold of the full monitor state (soak digests).
   void digest_state(sim::Digest& d) const;
@@ -216,6 +222,9 @@ class SwitchMonitor final : public net::WireTap {
   std::uint64_t no_route_drops_ = 0;
   std::uint64_t seq_ = 0;
   sim::Time window_start_ = 0;
+  /// Last published copy of sketches_ and the sample total it holds.
+  std::shared_ptr<const std::vector<stats::DDSketch>> published_;
+  std::uint64_t published_samples_ = 0;
 };
 
 }  // namespace presto::telemetry::fabric

@@ -42,11 +42,23 @@ void FabricPlane::tick() {
 
 void FabricPlane::flush_now() {
   for (auto& [id, mon] : monitors_) {
-    deliver(mon->snapshot(sim_.now()));
+    const std::uint32_t slot = acquire_slot();
+    mon->snapshot(sim_.now(), slots_[slot]);
+    deliver(slot);
   }
 }
 
-void FabricPlane::deliver(TelemetryReport r) {
+std::uint32_t FabricPlane::acquire_slot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void FabricPlane::deliver(std::uint32_t slot) {
   ++reports_sent_;
   sim::Time delay = cfg_.report_delay;
   bool duplicate = false;
@@ -56,6 +68,7 @@ void FabricPlane::deliver(TelemetryReport r) {
       if (fault->push_drop_probability > 0 &&
           rng_.uniform() < fault->push_drop_probability) {
         ++reports_dropped_;
+        free_slots_.push_back(slot);
         return;
       }
       if (fault->push_duplicate_probability > 0 &&
@@ -67,26 +80,27 @@ void FabricPlane::deliver(TelemetryReport r) {
   if (duplicate) {
     ++reports_duplicated_;
     // The copy takes the longer path (models a retransmitted frame).
-    schedule_delivery(r, delay + cfg_.report_delay);
+    const std::uint32_t copy = acquire_slot();
+    slots_[copy] = slots_[slot];
+    schedule_delivery(copy, delay + cfg_.report_delay);
   }
-  schedule_delivery(std::move(r), delay);
+  schedule_delivery(slot, delay);
 }
 
-void FabricPlane::schedule_delivery(TelemetryReport r, sim::Time delay) {
-  const std::uint64_t id = next_delivery_id_++;
-  in_flight_.emplace(id, std::move(r));
-  sim_.schedule(delay, [this, id] {
-    const auto it = in_flight_.find(id);
-    if (it == in_flight_.end()) return;
-    collector_.on_report(it->second, sim_.now());
-    in_flight_.erase(it);
+void FabricPlane::schedule_delivery(std::uint32_t slot, sim::Time delay) {
+  sim_.schedule(delay, [this, slot] {
+    collector_.on_report(std::move(slots_[slot]), sim_.now());
+    free_slots_.push_back(slot);
   });
 }
 
 void FabricPlane::collect_now() {
+  const std::uint32_t slot = acquire_slot();
   for (auto& [id, mon] : monitors_) {
-    collector_.on_report(mon->snapshot(sim_.now()), sim_.now());
+    mon->snapshot(sim_.now(), slots_[slot]);
+    collector_.on_report(std::move(slots_[slot]), sim_.now());
   }
+  free_slots_.push_back(slot);
 }
 
 std::string FabricPlane::health_json() {
@@ -137,7 +151,7 @@ void FabricPlane::digest_state(sim::Digest& d) const {
   d.mix(reports_sent_);
   d.mix(reports_dropped_);
   d.mix(reports_duplicated_);
-  d.mix(static_cast<std::uint64_t>(in_flight_.size()));
+  d.mix(static_cast<std::uint64_t>(slots_.size() - free_slots_.size()));
 }
 
 }  // namespace presto::telemetry::fabric

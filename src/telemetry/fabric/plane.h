@@ -19,7 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/switch.h"
 #include "sim/digest.h"
@@ -91,8 +91,11 @@ class FabricPlane {
 
  private:
   void tick();
-  void deliver(TelemetryReport r);
-  void schedule_delivery(TelemetryReport r, sim::Time delay);
+  /// Index of a free report slot (the pool grows on first use only).
+  std::uint32_t acquire_slot();
+  /// Sends the report in `slot` through the (faultable) control plane.
+  void deliver(std::uint32_t slot);
+  void schedule_delivery(std::uint32_t slot, sim::Time delay);
 
   sim::Simulation& sim_;
   FabricConfig cfg_;
@@ -102,10 +105,12 @@ class FabricPlane {
   /// interleaving) is deterministic.
   std::map<std::uint32_t, std::unique_ptr<SwitchMonitor>> monitors_;
   sim::Rng rng_;
-  /// Reports in flight through the control plane; events capture only the
-  /// id, keeping the closure inside the scheduler's inline-capture budget.
-  std::unordered_map<std::uint64_t, TelemetryReport> in_flight_;
-  std::uint64_t next_delivery_id_ = 0;
+  /// Recycled report storage. A flush snapshots into a free slot, the
+  /// delivery event captures only the slot index (keeping the closure
+  /// inside the scheduler's inline-capture budget), and the collector
+  /// swaps its previous report back into the slot, which is then freed.
+  std::vector<TelemetryReport> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t reports_sent_ = 0;
   std::uint64_t reports_dropped_ = 0;
   std::uint64_t reports_duplicated_ = 0;

@@ -7,10 +7,17 @@
 // (hwm_decayed, util_ewma) are the value at `emitted_at`. The per-label
 // depth sketches are cumulative too; the collector merges only the latest
 // sketch per switch, so cross-switch merges stay lossless (same alpha).
+//
+// Reports are built in place: the plane hands SwitchMonitor::snapshot() a
+// recycled slot to overwrite, and the collector swaps an accepted report
+// with its previous one, handing that storage back (DESIGN.md §15.2). The
+// depth sketches are an immutable shared snapshot: a monitor publishes a
+// new copy only when a depth sample landed since its previous report.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/tap.h"
@@ -61,8 +68,10 @@ struct TelemetryReport {
   sim::Time emitted_at = 0;
   std::vector<PortReport> ports;
   std::array<LabelTotals, kLabelBuckets> labels{};
-  /// Queue-depth sketch per label bucket (sampled, cumulative).
-  std::vector<stats::DDSketch> label_depth;
+  /// Queue-depth sketch per label bucket (sampled, cumulative). Shared
+  /// and never modified once published, so consecutive reports without a
+  /// new depth sample point at the same vector.
+  std::shared_ptr<const std::vector<stats::DDSketch>> label_depth;
 };
 
 }  // namespace presto::telemetry::fabric

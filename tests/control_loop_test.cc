@@ -12,6 +12,7 @@
 #include "check/scenario.h"
 #include "controller/control_loop.h"
 #include "harness/experiment.h"
+#include "sim/rng.h"
 #include "workload/patterns.h"
 
 namespace presto::controller {
@@ -41,8 +42,10 @@ double floor_for(const ControlLoopConfig& cfg, std::size_t n) {
 std::vector<double> step(const std::vector<double>& prev,
                          const std::vector<TreeSignal>& sig,
                          const ControlLoopConfig& cfg) {
-  std::vector<double> next = reweight(prev, sig, cfg);
-  return predictive_refine(next, prev, sig, cfg);
+  Reweighter r;
+  std::vector<double> next;
+  r.step(prev, sig, cfg, next);
+  return next;
 }
 
 // ---------------------------------------------------------------------------
@@ -87,6 +90,33 @@ TEST(ControlLoopMath, HysteresisBoundsPerPeriodDelta) {
     const std::vector<double> next = step(w, sig, cfg);
     EXPECT_LE(linf(next, w), cfg.max_delta + kEps) << "iteration " << it;
     w = next;
+  }
+}
+
+TEST(ControlLoopMath, ReusedReweighterMatchesAFreshOneBitForBit) {
+  // The loop keeps one Reweighter for the whole run. Its reused buffers,
+  // the cached floored-uniform vector included, must carry nothing from
+  // one step into the next, even when the tree count or floor changes.
+  sim::Rng rng(77);
+  Reweighter reused;
+  std::vector<double> w;
+  for (int it = 0; it < 300; ++it) {
+    const std::size_t n = it < 100 ? 4 : it < 200 ? 2 + it % 7 : 8;
+    ControlLoopConfig cfg;
+    cfg.min_weight = (it / 50) % 2 == 0 ? 0.02 : 0.05;
+    cfg.horizon = it % 3 == 0 ? 0 : 4;
+    std::vector<TreeSignal> sig(n);
+    for (TreeSignal& s : sig) {
+      s.drop_rate = rng.below(4) == 0 ? 0.3 * rng.uniform() : 0.0;
+      s.depth_frac = rng.uniform();
+      s.util = rng.uniform();
+      s.load_share = 1.0 / static_cast<double>(n);
+    }
+    if (w.size() != n) w.assign(n, 1.0 / static_cast<double>(n));
+    std::vector<double> got;
+    reused.step(w, sig, cfg, got);
+    EXPECT_EQ(got, step(w, sig, cfg)) << "iteration " << it;
+    w = got;
   }
 }
 

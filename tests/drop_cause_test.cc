@@ -154,7 +154,8 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   // Fabric report: per-port drops by counted cause, same fold.
   telemetry::fabric::SwitchMonitor* mon = plane.monitor(0);
   ASSERT_NE(mon, nullptr);
-  const telemetry::fabric::TelemetryReport r = mon->snapshot(sim.now());
+  telemetry::fabric::TelemetryReport r;
+  mon->snapshot(sim.now(), r);
   using Drops = std::array<std::uint64_t, net::kCountedDropCauses>;
   EXPECT_EQ(r.ports[kFull].drops, (Drops{1, 0, 0, 0, 0}));
   EXPECT_EQ(r.ports[kDown].drops, (Drops{0, 2, 0, 0, 0}));

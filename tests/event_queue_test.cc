@@ -70,7 +70,11 @@ class Differ {
     const auto [owhen, oid] = oracle_.pop();
     EXPECT_EQ(when, owhen);
     EXPECT_EQ(last_id_, oid);
+    last_when_ = when;
   }
+
+  /// Timestamp of the event popped last.
+  Time last_when() const { return last_when_; }
 
   void drain_and_check() {
     while (!oracle_.empty()) pop_and_check();
@@ -86,6 +90,7 @@ class Differ {
   OracleQueue oracle_;
   std::uint64_t next_id_ = 0;
   std::uint64_t last_id_ = ~0ull;
+  Time last_when_ = 0;
 };
 
 TEST(EventQueueTest, EmptyQueueBasics) {
@@ -150,6 +155,65 @@ TEST(EventQueueTest, DifferentialRandomFarSchedule) {
       for (int i = 0; i < pops && d.pending() > 0; ++i) d.pop_and_check();
     }
     d.drain_and_check();
+  }
+}
+
+TEST(EventQueueTest, DifferentialSparseWindowSchedules) {
+  // A few events scattered over the 1024-bucket window, so nearly every pop
+  // follows a run of empty buckets that the occupancy bitmap must skip:
+  // buckets on both sides of each 64-bucket word boundary, the first and
+  // last bucket, far events that arrive through heap refills, re-entrant
+  // pushes into the bucket just reached, and a full drain before every
+  // round so the next push re-anchors the window.
+  constexpr Time kBucket = 256;             // bucket width (2^8 ns)
+  constexpr Time kWindow = 1024 * kBucket;  // ladder window span
+  std::vector<Time> edges = {0, 1, 1022, 1023};
+  for (Time w = 64; w < 1024; w += 64) {
+    edges.push_back(w - 1);
+    edges.push_back(w);
+  }
+  for (std::uint64_t seed : {5ull, 17ull, 333ull, 9001ull}) {
+    Differ d;
+    Rng rng(seed);
+    Time base = 0;
+    for (int round = 0; round < 40; ++round) {
+      // Next window base: usually beyond the last one, sometimes inside
+      // it (a re-anchor onto buckets the previous round used).
+      base += rng.below(4) == 0 ? kBucket * static_cast<Time>(rng.below(8))
+                                : kWindow * static_cast<Time>(1 + rng.below(3));
+      ASSERT_EQ(d.pending(), 0u);
+      d.push(base);  // empty queue: anchors the window at `base`
+      auto at = [&](Time bucket) {
+        return base + bucket * kBucket +
+               static_cast<Time>(rng.below(static_cast<std::uint64_t>(kBucket)));
+      };
+      for (int i = 0; i < 6; ++i) {
+        const Time when = at(edges[rng.below(edges.size())]);
+        d.push(when);
+        if (rng.below(3) == 0) d.push(when);  // same-timestamp tie
+      }
+      d.push(at(static_cast<Time>(rng.below(1024))));
+      for (int i = 0; i < 3; ++i) {
+        // Beyond the window: parked in the far heap until a refill.
+        d.push(at(edges[rng.below(edges.size())]) +
+               kWindow * static_cast<Time>(1 + rng.below(3)));
+      }
+      int reentrant = 0;
+      while (d.pending() > 0) {
+        d.pop_and_check();
+        if (reentrant < 12 && rng.below(3) == 0) {
+          // As a callback would: at the popped time (the spawn run of the
+          // bucket just reached) or a little later (this bucket or the
+          // next, possibly across a word boundary).
+          ++reentrant;
+          d.push(d.last_when() +
+                 (rng.below(2) == 0
+                      ? 0
+                      : static_cast<Time>(rng.below(2 * kBucket))));
+        }
+      }
+      EXPECT_TRUE(d.queue().empty());
+    }
   }
 }
 

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "check/scenario.h"
@@ -58,7 +61,8 @@ TEST(PortMonitor, CountsDropsAndHighWatermark) {
   mon.on_drop(7, 1, frame(200, 2), net::DropCause::kNoRoute);
 
   EXPECT_EQ(p->queue_hwm_bytes(), 900u);
-  const TelemetryReport r = mon.snapshot(1000);
+  TelemetryReport r;
+  mon.snapshot(1000, r);
   EXPECT_EQ(r.switch_id, 7u);
   EXPECT_EQ(r.seq, 1u);
   EXPECT_EQ(r.emitted_at, 1000);
@@ -99,7 +103,8 @@ TEST(PortMonitor, MicroburstEpisodeTracksDurationAndPeak) {
   sim.run_until(600);
   mon.on_enqueue(0, 0, frame(300, 0), 700);   // below: no new burst
 
-  const TelemetryReport r = mon.snapshot(1000);
+  TelemetryReport r;
+  mon.snapshot(1000, r);
   EXPECT_EQ(r.ports[0].microburst_episodes, 1u);
   EXPECT_EQ(r.ports[0].microburst_max_duration, 300);
   EXPECT_EQ(r.ports[0].microburst_peak_bytes, 1600u);
@@ -117,7 +122,8 @@ TEST(PortMonitor, UtilizationEwmaOverWindows) {
   mon.on_enqueue(0, 0, frame(500, 0), 500);
   sim.run_until(600);
   mon.on_tx(0, 0, frame(500, 0), 0);
-  TelemetryReport r = mon.snapshot(1000);
+  TelemetryReport r;
+  mon.snapshot(1000, r);
   EXPECT_NEAR(r.ports[0].util_ewma, 0.5, 1e-9);
 
   // Window 2 (1000..2000 ns): 1000 B sent -> inst 1.0,
@@ -126,7 +132,7 @@ TEST(PortMonitor, UtilizationEwmaOverWindows) {
   mon.on_enqueue(0, 0, frame(1000, 0), 1000);
   sim.run_until(1900);
   mon.on_tx(0, 0, frame(1000, 0), 0);
-  r = mon.snapshot(2000);
+  mon.snapshot(2000, r);
   EXPECT_NEAR(r.ports[0].util_ewma, 0.75, 1e-9);
 }
 
@@ -312,6 +318,145 @@ TEST(FabricProtocol, DuplicateDeliveryIsIdempotent) {
               dd.get("labels").get(name).num_or("drop_packets", -2))
         << name;
   }
+}
+
+// --------------------------------------------------------- report ownership
+
+TEST(ReportOwnership, FlushesWithoutADepthSampleShareOneSketchSnapshot) {
+  FabricConfig cfg;  // every 32nd enqueue per port is a depth sample
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 0, cfg);
+  mon.add_port(10e9);
+  TelemetryReport a, b;
+  mon.snapshot(1000, a);
+  // Traffic that lands no depth sample: the report advances, the sketches
+  // do not, so the second report shares the first one's copy.
+  mon.on_enqueue(0, 0, frame(500, 1), 500);
+  mon.on_tx(0, 0, frame(500, 1), 0);
+  mon.snapshot(2000, b);
+  ASSERT_NE(a.label_depth, nullptr);
+  EXPECT_EQ(a.label_depth, b.label_depth);
+  EXPECT_EQ(b.seq, 2u);
+  EXPECT_EQ(b.labels[1].tx_bytes, 500u);
+}
+
+TEST(ReportOwnership, SampledEnqueuePublishesANewSnapshotOldOneUnchanged) {
+  FabricConfig cfg;
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 0, cfg);
+  mon.add_port(10e9);
+  auto enqueue_32 = [&mon] {
+    for (std::uint64_t i = 1; i <= 32; ++i) {
+      mon.on_enqueue(0, 0, frame(100, 3), 100 * i);  // the 32nd samples
+    }
+  };
+  TelemetryReport a, b;
+  mon.snapshot(1000, a);
+  enqueue_32();
+  mon.snapshot(2000, b);
+  ASSERT_NE(a.label_depth, nullptr);
+  ASSERT_NE(b.label_depth, nullptr);
+  EXPECT_NE(a.label_depth, b.label_depth);
+  EXPECT_EQ((*a.label_depth)[3].count(), 0u);
+  EXPECT_EQ((*b.label_depth)[3].count(), 1u);
+  EXPECT_EQ((*b.label_depth)[3].max(), 3200.0);
+  // The live sketches keep moving; published copies never do.
+  enqueue_32();
+  EXPECT_EQ(mon.label_depth()[3].count(), 2u);
+  EXPECT_EQ((*a.label_depth)[3].count(), 0u);
+  EXPECT_EQ((*b.label_depth)[3].count(), 1u);
+}
+
+TEST(ReportOwnership, RejectedFrameNeverReplacesTheLatestReport) {
+  FabricConfig cfg;
+  FabricCollector c(cfg);
+  c.expect_switch(1, 1);
+  TelemetryReport slot = make_report(1, 2, 200, 20'000);
+  c.on_report(std::move(slot), 210);
+  // Accepted: the caller's storage now holds the previous latest report
+  // (none yet), ready to be overwritten by the next snapshot.
+  EXPECT_EQ(slot.seq, 0u);
+  slot = make_report(1, 1, 100, 99);  // reordered: older than seq 2
+  c.on_report(std::move(slot), 220);
+  EXPECT_EQ(slot.seq, 1u);  // rejected frames stay with the caller
+  slot = make_report(1, 2, 200, 77);  // duplicate seq
+  c.on_report(std::move(slot), 230);
+  const TelemetryReport* latest = c.latest_report(1);
+  ASSERT_NE(latest, nullptr);
+  EXPECT_EQ(latest->seq, 2u);
+  EXPECT_EQ(latest->ports[0].tx_bytes, 20'000u);
+  EXPECT_EQ(c.accounting(1)->duplicates, 1u);
+  EXPECT_EQ(c.accounting(1)->reordered, 1u);
+}
+
+TEST(ReportOwnership, RecycledSlotsNeverLeakStaleReportsIntoTheCollector) {
+  // Every frame is duplicated, and the copy (one report delay later)
+  // lands after the next flush's original: each round leaves a slot
+  // holding a rejected, stale report, which the next flush reuses.
+  harness::ExperimentConfig cfg = fabric_cfg("ctl_fault@0us dup=1");
+  cfg.telemetry.fabric.flush_period = 0;  // flushes driven below
+  harness::Experiment ex(cfg);
+  for (const auto& [s, d] : workload::stride_pairs(16, 4)) {
+    ex.add_elephant(s, d, 0);
+  }
+  FabricPlane* plane = ex.fabric_plane();
+  ASSERT_NE(plane, nullptr);
+  const sim::Time step = cfg.telemetry.fabric.report_delay / 2;
+  // What each snapshot must carry: per-port and per-label tx bytes.
+  struct Sent {
+    std::vector<std::uint64_t> ports;
+    std::array<std::uint64_t, kLabelBuckets> labels{};
+  };
+  // Per switch, indexed by seq (seq 0: nothing sent).
+  std::map<std::uint32_t, std::vector<Sent>> sent;
+  auto check_latest = [&] {
+    for (const auto& [id, by_seq] : sent) {
+      const TelemetryReport* latest = plane->collector().latest_report(id);
+      if (latest == nullptr) continue;
+      EXPECT_EQ(latest->seq, plane->collector().accounting(id)->last_seq);
+      ASSERT_LT(latest->seq, by_seq.size());
+      const Sent& want = by_seq[latest->seq];
+      EXPECT_EQ(latest->switch_id, id);
+      EXPECT_EQ(latest->emitted_at,
+                static_cast<sim::Time>(latest->seq) * step);
+      ASSERT_EQ(latest->ports.size(), want.ports.size());
+      for (std::size_t i = 0; i < latest->ports.size(); ++i) {
+        EXPECT_EQ(latest->ports[i].tx_bytes, want.ports[i])
+            << "switch " << id << " seq " << latest->seq << " port " << i;
+      }
+      for (std::size_t b = 0; b < kLabelBuckets; ++b) {
+        EXPECT_EQ(latest->labels[b].tx_bytes, want.labels[b])
+            << "switch " << id << " seq " << latest->seq << " label " << b;
+      }
+    }
+  };
+  for (std::uint64_t k = 1; k <= 200; ++k) {
+    ex.sim().run_until(static_cast<sim::Time>(k) * step);
+    check_latest();
+    plane->flush_now();
+    for (std::uint32_t id = 0; id < plane->collector().switch_count(); ++id) {
+      const SwitchMonitor* mon = plane->monitor(id);
+      std::vector<Sent>& by_seq = sent[id];
+      if (by_seq.empty()) by_seq.emplace_back();
+      Sent now;
+      for (std::size_t i = 0; i < mon->port_count(); ++i) {
+        std::uint64_t bytes = 0;
+        for (std::size_t b = 0; b < kLabelBuckets; ++b) {
+          bytes += mon->port(i)->labels()[b].tx_bytes;
+          now.labels[b] += mon->port(i)->labels()[b].tx_bytes;
+        }
+        now.ports.push_back(bytes);
+      }
+      by_seq.push_back(std::move(now));
+    }
+  }
+  ex.sim().run_until(202 * step + 4 * cfg.telemetry.fabric.report_delay);
+  check_latest();
+  const FabricCollector::Accounting* a = plane->collector().accounting(0);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->last_seq, 200u);
+  EXPECT_GT(a->reordered, 100u);
+  EXPECT_EQ(plane->reports_duplicated(), plane->reports_sent());
 }
 
 // ---------------------------------------------------------------- anomalies

@@ -5,6 +5,7 @@
 #include "net/port.h"
 #include "net/switch.h"
 #include "net/topology.h"
+#include "sim/rng.h"
 #include "sim/simulation.h"
 
 namespace presto::net {
@@ -255,6 +256,38 @@ TEST(Switch, EcmpSkipsDownMembers) {
   sim.run();
   EXPECT_TRUE(s0.packets.empty());
   EXPECT_EQ(s1.packets.size(), 32u);
+}
+
+TEST(Switch, EcmpPickMatchesTheLiveMemberVectorReference) {
+  // ecmp_pick counts live members instead of collecting them; it must
+  // choose exactly what hashing over a vector of the live members chose.
+  auto reference = [](const std::vector<PortId>& members, std::uint64_t h,
+                      const std::vector<bool>& down) {
+    std::vector<PortId> alive;
+    for (PortId m : members) {
+      if (!down[static_cast<std::size_t>(m)]) alive.push_back(m);
+    }
+    const auto& pool = alive.empty() ? members : alive;
+    return pool[h % pool.size()];
+  };
+  sim::Rng rng(0xEC3B);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t ports = 1 + rng.below(12);
+    std::vector<bool> down(ports);
+    // Mix all-up, all-down and random down-sets.
+    const std::uint64_t mode = rng.below(4);
+    for (std::size_t i = 0; i < ports; ++i) {
+      down[i] = mode == 0 ? false : mode == 1 ? true : rng.below(2) == 0;
+    }
+    std::vector<PortId> members(1 + rng.below(8));
+    for (PortId& m : members) m = static_cast<PortId>(rng.below(ports));
+    const std::uint64_t h = rng.next();
+    const PortId got = ecmp_pick(members, h, [&](PortId m) {
+      return static_cast<bool>(down[static_cast<std::size_t>(m)]);
+    });
+    ASSERT_EQ(got, reference(members, h, down)) << "trial " << trial;
+  }
+  EXPECT_EQ(ecmp_pick({}, 7, [](PortId) { return false; }), kInvalidPort);
 }
 
 TEST(Topology, ClosShape) {

@@ -22,7 +22,9 @@ TEST(Weights, PaperExampleQuarterHalfQuarter) {
   int p2 = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (order[i] == 1) ++p2;
-    if (i > 0) EXPECT_FALSE(order[i] == 1 && order[i - 1] == 1);
+    if (i > 0) {
+      EXPECT_FALSE(order[i] == 1 && order[i - 1] == 1);
+    }
   }
   EXPECT_EQ(p2, 2);
 }

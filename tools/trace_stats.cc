@@ -37,11 +37,19 @@ using presto::telemetry::JsonValue;
 /// with dense switch ids (see harness/experiment.cc).
 constexpr std::uint32_t kHostNodeBit = 0x8000'0000u;
 
+/// `<prefix><n>`, built by appending: GCC 12 reports a false -Wrestrict
+/// on `"t" + std::to_string(n)` once inlined.
+std::string numbered(const char* prefix, std::int64_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 std::string node_name(std::uint32_t node) {
   if ((node & kHostNodeBit) != 0) {
-    return "h" + std::to_string(node & ~kHostNodeBit);
+    return numbered("h", node & ~kHostNodeBit);
   }
-  return "sw" + std::to_string(node);
+  return numbered("sw", node);
 }
 
 struct HopEvent {
@@ -368,7 +376,7 @@ int main(int argc, char** argv) {
     print_row(name, ls.reorder.count(), "reorder_wait", ls.reorder);
   };
   for (const auto& [tree, ls] : by_label) {
-    print_label(tree < 0 ? "-" : "t" + std::to_string(tree), ls);
+    print_label(tree < 0 ? "-" : numbered("t", tree), ls);
   }
   if (by_label.size() > 1) print_label("all", all);
 
