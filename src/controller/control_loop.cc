@@ -191,13 +191,27 @@ void Reweighter::step(const std::vector<double>& prev,
   clamped_step(prev, uniform_, cfg.gain, cfg.max_delta, steps_[3]);
   const std::vector<double>* candidates[] = {&reactive, &prev, &steps_[1],
                                              &steps_[2], &steps_[3]};
+  // A candidate bitwise equal to an earlier one costs the same and so can
+  // never win the tie-break; on a settled fabric every candidate equals
+  // `prev` and nothing is scored at all.
+  std::size_t distinct = 0;
+  for (std::size_t c = 0; c < std::size(candidates); ++c) {
+    bool repeat = false;
+    for (std::size_t e = 0; e < distinct && !repeat; ++e) {
+      repeat = std::memcmp(candidates[c]->data(), candidates[e]->data(),
+                           n * sizeof(double)) == 0;
+    }
+    if (!repeat) candidates[distinct++] = candidates[c];
+  }
   const std::vector<double>* best = candidates[0];
-  double best_cost = horizon_cost(*best, prev, signals, cfg);
-  for (std::size_t c = 1; c < std::size(candidates); ++c) {
-    const double cost = horizon_cost(*candidates[c], prev, signals, cfg);
-    if (cost < best_cost) {
-      best = candidates[c];
-      best_cost = cost;
+  if (distinct > 1) {
+    double best_cost = horizon_cost(*best, prev, signals, cfg);
+    for (std::size_t c = 1; c < distinct; ++c) {
+      const double cost = horizon_cost(*candidates[c], prev, signals, cfg);
+      if (cost < best_cost) {
+        best = candidates[c];
+        best_cost = cost;
+      }
     }
   }
   out.assign(best->begin(), best->end());
@@ -315,42 +329,57 @@ void ControlLoop::gather_signals() {
       ++stale_skips_;
       return;
     }
+    if (id >= snapshots_.size()) snapshots_.resize(id + 1);
     SwitchSnapshot& snap = snapshots_[id];
+    snap.seen = true;
     if (r.seq > snap.seq) {
-      for (std::size_t b = 0; b < kLabelBuckets && b < n; ++b) {
-        if (b == kNonLabelBucket) continue;
-        // Reports are cumulative, so the delta against the previous
-        // accepted snapshot is this switch's window contribution.
-        const telemetry::fabric::LabelTotals& base = snap.labels[b];
-        const std::uint64_t d_tx = r.labels[b].tx_packets - base.tx_packets;
-        const std::uint64_t d_dr = r.labels[b].drop_packets - base.drop_packets;
-        tx_b[b] += r.labels[b].tx_bytes - base.tx_bytes;
-        // A tree is only as healthy as its sickest hop: score each tree by
-        // the worst per-switch loss ratio, not the fleet-wide sum — a gray
-        // leaf-spine link must not be averaged away by the healthy traffic
-        // every other switch carries on the same label.
-        const std::uint64_t attempts = d_tx + d_dr;
-        if (attempts >= kMinAttempts) {
-          sig[b].drop_rate = std::max(
-              sig[b].drop_rate,
-              static_cast<double>(d_dr) / static_cast<double>(attempts));
+      // A report whose label rows last moved at or before the baseline's
+      // seq carries the baseline's rows: every delta would be zero.
+      if (r.labels_seq == 0 || r.labels_seq > snap.seq) {
+        for (std::size_t b = 0; b < kLabelBuckets && b < n; ++b) {
+          if (b == kNonLabelBucket) continue;
+          // Reports are cumulative, so the delta against the previous
+          // accepted snapshot is this switch's window contribution.
+          const telemetry::fabric::LabelTotals& base = snap.labels[b];
+          const std::uint64_t d_tx =
+              r.labels[b].tx_packets - base.tx_packets;
+          const std::uint64_t d_dr =
+              r.labels[b].drop_packets - base.drop_packets;
+          tx_b[b] += r.labels[b].tx_bytes - base.tx_bytes;
+          // A tree is only as healthy as its sickest hop: score each tree
+          // by the worst per-switch loss ratio, not the fleet-wide sum — a
+          // gray leaf-spine link must not be averaged away by the healthy
+          // traffic every other switch carries on the same label.
+          const std::uint64_t attempts = d_tx + d_dr;
+          if (attempts >= kMinAttempts) {
+            sig[b].drop_rate = std::max(
+                sig[b].drop_rate,
+                static_cast<double>(d_dr) / static_cast<double>(attempts));
+          }
         }
+        snap.labels = r.labels;
       }
-      snap.labels = r.labels;
       snap.seq = r.seq;
     }
     // Queue/utilization gauges attach to the trees rooted at this switch
-    // (that is where asymmetric congestion pools on a Clos).
+    // (that is where asymmetric congestion pools on a Clos). The port
+    // maxima are taken once per switch, on its first rooted tree.
+    bool rooted = false;
+    double depth = 0, util = 0;
     for (std::size_t t = 0; t < n; ++t) {
       if (trees[t].spine != id) continue;
-      double depth = 0, util = 0;
-      for (const telemetry::fabric::PortReport& p : r.ports) {
-        depth = std::max(depth, p.queue_hwm_decayed /
-                                    static_cast<double>(buffer_bytes_));
-        util = std::max(util, p.util_ewma);
+      if (!rooted) {
+        rooted = true;
+        for (const telemetry::fabric::PortReport& p : r.ports) {
+          depth = std::max(depth, p.queue_hwm_decayed /
+                                      static_cast<double>(buffer_bytes_));
+          util = std::max(util, p.util_ewma);
+        }
+        depth = std::min(1.0, depth);
+        util = std::min(1.0, util);
       }
-      sig[t].depth_frac = std::max(sig[t].depth_frac, std::min(1.0, depth));
-      sig[t].util = std::max(sig[t].util, std::min(1.0, util));
+      sig[t].depth_frac = std::max(sig[t].depth_frac, depth);
+      sig[t].util = std::max(sig[t].util, util);
     }
   });
   std::uint64_t total_bytes = 0;
@@ -414,10 +443,13 @@ void ControlLoop::digest_state(sim::Digest& d) const {
   for (double w : weights_) mix_double(w);
   for (double w : last_pushed_) mix_double(w);
   for (double v : drop_hold_) mix_double(v);
-  d.mix(static_cast<std::uint64_t>(snapshots_.size()));
-  for (const auto& [id, snap] : snapshots_) {
-    d.mix(id);
-    d.mix(snap.seq);
+  std::uint64_t seen = 0;
+  for (const SwitchSnapshot& snap : snapshots_) seen += snap.seen ? 1 : 0;
+  d.mix(seen);
+  for (std::size_t id = 0; id < snapshots_.size(); ++id) {
+    if (!snapshots_[id].seen) continue;
+    d.mix(static_cast<std::uint64_t>(id));
+    d.mix(snapshots_[id].seq);
   }
   d.mix(static_cast<std::uint64_t>(history_.size()));
 }

@@ -37,7 +37,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -204,6 +203,7 @@ class ControlLoop {
   /// Previous cumulative per-label counters of one switch (the window
   /// baseline), advanced only when that switch's report is fresh.
   struct SwitchSnapshot {
+    bool seen = false;  ///< a report of this switch was ever in the window
     std::uint64_t seq = 0;
     std::array<telemetry::fabric::LabelTotals,
                telemetry::fabric::kLabelBuckets>
@@ -217,8 +217,9 @@ class ControlLoop {
   std::uint64_t buffer_bytes_;
   std::vector<double> weights_;
   std::vector<double> last_pushed_;
-  /// Ordered by switch id: signal aggregation order is deterministic.
-  std::map<std::uint32_t, SwitchSnapshot> snapshots_;
+  /// Indexed by switch id (grown on first sight); the collector visits
+  /// switches in id order, so signal aggregation order is deterministic.
+  std::vector<SwitchSnapshot> snapshots_;
   /// Per-tree drop-signal peak-hold (bursty loss must persist across the
   /// periods that sample the Gilbert-Elliott good state).
   std::vector<double> drop_hold_;

@@ -41,6 +41,10 @@ void FabricCollector::on_report(TelemetryReport&& r, sim::Time arrival) {
     }
     return;
   }
+  // Every report from r.labels_seq to r.seq carries the same label rows
+  // and sketches, so a latest report inside that run already holds them.
+  const bool same_labels = st.acct.has_report && r.labels_seq != 0 &&
+                           r.labels_seq <= st.latest.seq;
   if (r.seq > st.acct.last_seq + 1) {
     st.acct.lost += r.seq - st.acct.last_seq - 1;
   }
@@ -58,7 +62,15 @@ void FabricCollector::on_report(TelemetryReport&& r, sim::Time arrival) {
       st.hot_streak[i] = 0;
     }
   }
-  std::swap(st.latest, r);
+  // Hand the previous latest's header and storage back through `r`.
+  std::swap(st.latest.switch_id, r.switch_id);
+  std::swap(st.latest.seq, r.seq);
+  std::swap(st.latest.emitted_at, r.emitted_at);
+  std::swap(st.latest.labels_seq, r.labels_seq);
+  st.latest.ports.swap(r.ports);
+  if (same_labels) return;
+  st.latest.labels = r.labels;
+  st.latest.label_depth.swap(r.label_depth);
 }
 
 void FabricCollector::aggregate_labels(std::vector<LabelAgg>& agg,
@@ -421,6 +433,17 @@ void FabricCollector::digest_state(sim::Digest& d) const {
     d.mix(st.acct.lost);
     d.mix(st.acct.last_seq);
     d.mix_time(st.acct.last_accept_at);
+    // The latest accepted report's header and port gauges, and the
+    // hotspot streaks they feed.
+    d.mix(st.latest.seq);
+    d.mix_time(st.latest.emitted_at);
+    d.mix(static_cast<std::uint64_t>(st.latest.ports.size()));
+    for (const PortReport& p : st.latest.ports) {
+      d.mix(p.queue_hwm_bytes);
+      d.mix_double(p.queue_hwm_decayed);
+      d.mix_double(p.util_ewma);
+    }
+    for (std::uint32_t streak : st.hot_streak) d.mix(streak);
   }
 }
 

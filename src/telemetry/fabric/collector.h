@@ -53,9 +53,13 @@ class FabricCollector {
   void expect_switch(std::uint32_t id, std::size_t ports);
 
   /// Delivers one report frame at `arrival` (idempotent; see above). An
-  /// accepted report is swapped in as the switch's latest, leaving `r`
-  /// holding the previous latest report — storage the caller reuses for
-  /// its next snapshot. A duplicate or stale frame leaves `r` untouched.
+  /// accepted report becomes the switch's latest, leaving `r` holding the
+  /// previous latest's header, ports and sketch pointer — storage the
+  /// caller reuses for its next snapshot, which overwrites every field.
+  /// The label rows, plain values, are copied rather than handed back,
+  /// and not even copied when the latest already holds them (see
+  /// TelemetryReport::labels_seq). A duplicate or stale frame leaves `r`
+  /// untouched.
   void on_report(TelemetryReport&& r, sim::Time arrival);
 
   const Accounting* accounting(std::uint32_t id) const {

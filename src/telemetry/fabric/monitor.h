@@ -15,8 +15,12 @@
 // snapshot() closes a flush window: it updates the utilization EWMA and the
 // decayed high-watermark and writes a cumulative TelemetryReport into the
 // caller's storage (see report.h for the idempotence and ownership
-// contract). digest_state() folds the raw monitor state without side
-// effects, for the soak-tier digests.
+// contract). Every hook sets its port's dirty bit, and a no-route drop
+// sets the switch's, so a switch with no event since its previous report
+// reuses that report's label sums and sketch snapshot and runs only each
+// port's gauge updates; a port whose gauges have reached their fixed
+// point skips those too (DESIGN.md §15.1). digest_state() folds the raw
+// monitor state without side effects, for the soak-tier digests.
 #pragma once
 
 #include <array>
@@ -46,6 +50,7 @@ class PortMonitor {
   /// is the queue occupancy in bytes including this frame.
   void on_enqueue(std::uint64_t depth_after, std::uint32_t bucket,
                   sim::Time now) {
+    dirty_ = true;
     depth_ = depth_after;
     if (depth_after > hwm_live_) hwm_live_ = depth_after;
     if (in_burst_) {
@@ -67,6 +72,7 @@ class PortMonitor {
   /// totals are derived from them at window close, off the hot path.
   void on_tx(std::uint32_t bytes, std::uint64_t depth_after,
              std::uint32_t bucket, sim::Time now) {
+    dirty_ = true;
     ++labels_[bucket].tx_packets;
     labels_[bucket].tx_bytes += bytes;
     depth_ = depth_after;
@@ -84,6 +90,7 @@ class PortMonitor {
   /// Called by the SwitchMonitor for every port drop (enqueue reject,
   /// link-down at serialization, loss-model/corruption eat).
   void on_drop(std::uint32_t bucket, net::DropCause cause) {
+    dirty_ = true;
     const auto c = static_cast<std::size_t>(net::counted_cause(cause));
     if (c < kDropCauses) ++r_.drops[c];
     ++labels_[bucket].drop_packets;
@@ -109,7 +116,7 @@ class PortMonitor {
   }
 
   /// Port tx totals, derived from the per-label counters (the hot path
-  /// maintains only those). Used by digest_state; window close derives
+  /// maintains only those). Used by digest_state; fold_counters derives
   /// them in its own single walk of the label rows.
   std::uint64_t total_tx_packets() const {
     std::uint64_t n = 0;
@@ -122,11 +129,16 @@ class PortMonitor {
     return n;
   }
 
+  /// Folds the hot-path counters into the cumulative report state and
+  /// adds this port's label rows into `labels`.
+  void fold_counters(std::array<LabelTotals, kLabelBuckets>& labels);
+
   /// Closes a flush window: folds the window's transmitted bytes into the
-  /// utilization EWMA, decays the high-watermark, writes the cumulative
-  /// state into `out`, and adds this port's label rows into `labels`.
-  void close_window(sim::Time now, sim::Time window_start, PortReport& out,
-                    std::array<LabelTotals, kLabelBuckets>& labels);
+  /// utilization EWMA, decays the high-watermark and writes the cumulative
+  /// state into `out`. The caller skips it for a settled port with no
+  /// event: from the fixed point every update would recompute the values
+  /// already held.
+  void close_window(sim::Time now, sim::Time window_start, PortReport& out);
 
   // Hot cluster first: every field the inline hooks read or write sits in
   // the first two cache lines, ahead of the 400+-byte label array and the
@@ -140,6 +152,7 @@ class PortMonitor {
   std::uint64_t enqueued_packets_ = 0;
   std::uint32_t sample_mask_ = 31;
   bool in_burst_ = false;
+  bool dirty_ = false;  ///< a hook fired since the previous window close
   std::uint64_t burst_threshold_ = 150 * 1024;  ///< cached off cfg_
   sim::Time burst_start_ = 0;
   std::uint64_t burst_peak_ = 0;
@@ -153,6 +166,9 @@ class PortMonitor {
   PortReport r_;
   double hwm_window_ = 0.0;      ///< decayed watermark (updated per window)
   std::uint64_t window_tx_base_ = 0;  ///< tx_bytes at last window close
+  /// The gauges are at the fixed point of an idle window: the previous
+  /// close was idle, had dt > 0 and left every gauge bit-identical.
+  bool settled_ = false;
 };
 
 /// All monitors of one switch plus the shared per-label depth sketches.
@@ -192,6 +208,7 @@ class SwitchMonitor final : public net::WireTap {
                net::DropCause cause) override {
     const std::uint32_t bucket = net::label_bucket(p.dst_mac);
     if (cause == net::DropCause::kNoRoute) {
+      dirty_ = true;
       ++no_route_drops_;
       ++label_no_route_[bucket];
     } else {
@@ -205,6 +222,8 @@ class SwitchMonitor final : public net::WireTap {
   /// cumulative report (seq is 1-based and monotone) over `out`, reusing
   /// its storage. The depth sketches are copied only if a sample landed
   /// since the previous snapshot; otherwise `out` shares that snapshot's.
+  /// When no hook fired since the previous snapshot, the label sums and
+  /// the sketch snapshot are that snapshot's and only the gauges move.
   void snapshot(sim::Time now, TelemetryReport& out);
 
   /// Side-effect-free fold of the full monitor state (soak digests).
@@ -220,7 +239,14 @@ class SwitchMonitor final : public net::WireTap {
   std::vector<stats::DDSketch> sketches_;
   std::array<std::uint64_t, kLabelBuckets> label_no_route_{};
   std::uint64_t no_route_drops_ = 0;
+  /// A no-route drop since the previous snapshot; the first snapshot
+  /// always folds.
+  bool dirty_ = true;
+  /// Switch label sums as of the previous fold: the no-route rows plus
+  /// every port's label rows.
+  std::array<LabelTotals, kLabelBuckets> label_sums_{};
   std::uint64_t seq_ = 0;
+  std::uint64_t labels_seq_ = 0;  ///< seq of the last fold
   sim::Time window_start_ = 0;
   /// Last published copy of sketches_ and the sample total it holds.
   std::shared_ptr<const std::vector<stats::DDSketch>> published_;

@@ -13,6 +13,8 @@
 // with its previous one, handing that storage back (DESIGN.md §15.2). The
 // depth sketches are an immutable shared snapshot: a monitor publishes a
 // new copy only when a depth sample landed since its previous report.
+// `labels_seq` lets a consumer that already holds a report's label rows
+// and sketches skip them.
 #pragma once
 
 #include <array>
@@ -66,6 +68,10 @@ struct TelemetryReport {
   /// collector mean lost reports; repeats mean duplicates.
   std::uint64_t seq = 0;
   sim::Time emitted_at = 0;
+  /// Seq of the monitor's last fold of its counters, at or before `seq`:
+  /// every report of this switch from `labels_seq` to `seq` carries the
+  /// same `labels` and `label_depth`. 0 = unknown.
+  std::uint64_t labels_seq = 0;
   std::vector<PortReport> ports;
   std::array<LabelTotals, kLabelBuckets> labels{};
   /// Queue-depth sketch per label bucket (sampled, cumulative). Shared

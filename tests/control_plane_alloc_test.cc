@@ -1,10 +1,14 @@
-// Allocation guard for the closed-loop control plane (DESIGN.md §15.2,
-// §17). A counting global operator new (alloc_count.cc, the perfbench
-// idiom) sees every allocation the simulator makes. Once a closed-loop
-// experiment's traffic is done and its buffers have grown, a report
-// delivery allocates nothing and a control tick allocates at most its
-// bounded history entry — and nothing at all once the history is full.
+// Allocation guard for the closed-loop control plane (DESIGN.md §15.1,
+// §15.2, §17). A counting global operator new (alloc_count.cc, the
+// perfbench idiom) sees every allocation the simulator makes. An idle
+// switch's snapshot and the delivery of its report allocate nothing, from
+// the first idle window through the gauges' decay to their fixed point.
+// Once a closed-loop experiment's traffic is done and its buffers have
+// grown, a report delivery allocates nothing and a control tick allocates
+// at most its bounded history entry — and nothing at all once the history
+// is full.
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,12 +16,73 @@
 #include "alloc_count.h"
 #include "controller/control_loop.h"
 #include "harness/experiment.h"
+#include "net/packet.h"
+#include "sim/simulation.h"
+#include "telemetry/fabric/collector.h"
+#include "telemetry/fabric/monitor.h"
 #include "telemetry/fabric/plane.h"
 #include "workload/apps.h"
 #include "workload/patterns.h"
 
 namespace presto {
 namespace {
+
+TEST(ControlPlaneAllocs, IdleSnapshotAndDeliveryAllocateNothing) {
+  using namespace telemetry::fabric;
+  FabricConfig cfg;
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 0, cfg);
+  constexpr std::size_t kPorts = 4;
+  for (std::size_t i = 0; i < kPorts; ++i) mon.add_port(10e9);
+  FabricCollector coll(cfg);
+  coll.expect_switch(0, kPorts);
+
+  // Traffic on every port, depth samples included, so the idle windows
+  // below decay real gauges; one frame stays queued on port 0.
+  net::Packet p;
+  p.dst_mac = net::shadow_mac(0, 3);
+  p.payload = 1400;
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    const auto port = static_cast<net::PortId>(i % kPorts);
+    sim.run_until(static_cast<sim::Time>(i) * 100);
+    mon.on_enqueue(0, port, p, 3000);
+    if (i < 64) mon.on_tx(0, port, p, 1500);
+  }
+  // A slot pool of two, as the plane recycles them: the collector hands
+  // the previous latest's storage back through the delivered slot.
+  TelemetryReport slots[2];
+  sim::Time t = 10'000;
+  std::uint64_t k = 0;
+  auto window = [&](std::uint64_t* snapshot_allocs,
+                    std::uint64_t* delivery_allocs) {
+    TelemetryReport& slot = slots[k++ % 2];
+    t += 1000;
+    const std::uint64_t before = testing::alloc_count();
+    mon.snapshot(t, slot);
+    const std::uint64_t mid = testing::alloc_count();
+    coll.on_report(std::move(slot), t);
+    *snapshot_allocs = mid - before;
+    *delivery_allocs = testing::alloc_count() - mid;
+  };
+  std::uint64_t snap_allocs = 0, delivery_allocs = 0;
+  // The busy window publishes a sketch copy; the next ones grow the
+  // storage the idle windows then reuse.
+  for (int i = 0; i < 3; ++i) window(&snap_allocs, &delivery_allocs);
+  // Past the util EWMA's ~2,080 windows to its fixed point: every idle
+  // window, settled or still decaying, allocates nothing.
+  for (int i = 0; i < 2500; ++i) {
+    window(&snap_allocs, &delivery_allocs);
+    ASSERT_EQ(snap_allocs, 0u) << "idle window " << i;
+    ASSERT_EQ(delivery_allocs, 0u) << "idle window " << i;
+  }
+  ASSERT_NE(coll.latest_report(0), nullptr);
+  EXPECT_EQ(coll.latest_report(0)->seq, k);
+  // The gauges reached their fixed point: the util EWMA holds the
+  // smallest denormal, the HWM the 3000 bytes still queued on port 0.
+  EXPECT_EQ(coll.latest_report(0)->ports[1].util_ewma,
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(coll.latest_report(0)->ports[0].queue_hwm_decayed, 3000.0);
+}
 
 TEST(ControlPlaneAllocs, IdleTicksAllocateOnlyTheirHistoryEntry) {
   harness::ExperimentConfig cfg;
