@@ -3,8 +3,8 @@
 // Construct one JsonReporter at the top of a bench main(). It is inert
 // unless `--json` is on the command line or PRESTO_BENCH_JSON is set
 // (value "1" writes to results/, any other non-"0" value names the output
-// directory). While a reporter is active, run_seeds() records every merged
-// point automatically — benches only call set_point() to label them.
+// directory). Benches label each point with set_point() and then record()
+// its merged result; the figure table (figures.h) does both for its rows.
 //
 // Output: <outdir>/<bench>.json with schema presto.bench v1:
 //   { "schema", "schema_version", "bench", "seeds", "time_scale",
@@ -65,7 +65,7 @@ class JsonReporter {
 
   bool enabled() const { return enabled_; }
 
-  /// The reporter run_seeds() records into, or null.
+  /// The reporter the figure table records into, or null.
   static JsonReporter* active() { return active_; }
 
   /// Base path given via `--trace-out <path>` (empty when absent). The env
@@ -78,7 +78,7 @@ class JsonReporter {
     params_ = std::move(params);
   }
 
-  /// Document-level run configuration (run_seeds calls this).
+  /// Document-level run configuration (seeds and time scale).
   void note_run_config(int seeds, double time_scale) {
     doc_seeds_ = seeds;
     doc_time_scale_ = time_scale;

@@ -85,7 +85,7 @@ inline unsigned thread_count() {
 /// Flight-recorder output base path: `--trace-out <path>` on the command
 /// line (parsed by JsonReporter) or env PRESTO_TRACE_OUT. Empty / "0"
 /// disables tracing. Non-empty turns on the time-series sampler and span
-/// tracer for every run_seeds() point; files land at
+/// tracer for every figure-table point (figures.h); files land at
 /// `<base>.trace.json` / `<base>.timeseries.csv` (first point, first seed)
 /// and `<base>[.p<point>].seed<n>.*` for the rest.
 inline const std::string& trace_out() {
@@ -110,6 +110,16 @@ inline std::uint32_t trace_span_every() {
   return n;
 }
 
+/// How each point of a bench runs: seed replicas, run-length scale, worker
+/// threads, and the flight-recorder base path (empty: no traces). Benches
+/// read it from the environment; claims_test fixes it in code.
+struct SeedPlan {
+  int seeds = 3;
+  double time_scale = 1.0;
+  unsigned threads = 0;
+  std::string trace_base;
+};
+
 namespace detail {
 
 inline void write_text_file(const std::string& path, const std::string& body) {
@@ -130,7 +140,7 @@ inline void write_text_file(const std::string& path, const std::string& body) {
 }
 
 /// Writes per-seed flight-recorder files for one merged point. `point` is
-/// the 0-based run_seeds() invocation index within this bench process.
+/// the point's 0-based index within this bench process.
 inline void write_trace_files(const std::string& base, int point,
                               const harness::SweepResult& agg) {
   for (std::size_t i = 0; i < agg.runs.size(); ++i) {
@@ -150,60 +160,13 @@ inline void write_trace_files(const std::string& base, int point,
 
 }  // namespace detail
 
-inline sim::Time scaled(sim::Time t) {
-  return static_cast<sim::Time>(static_cast<double>(t) * time_scale());
+inline sim::Time scaled(sim::Time t, double scale = time_scale()) {
+  return static_cast<sim::Time>(static_cast<double>(t) * scale);
 }
 
 /// Aggregate of several seeded runs of one experiment point (the sweep
 /// runner's merged view; `runs` holds the per-seed results).
 using MultiRun = harness::SweepResult;
-
-/// Runs `pairs_of(seeded experiment)` over several seeds — in parallel when
-/// PRESTO_BENCH_THREADS/hardware allows — and merges results. When a
-/// JsonReporter is active the merged point is recorded with telemetry
-/// collected from every layer.
-template <typename PairsFn>
-MultiRun run_seeds(harness::ExperimentConfig cfg, PairsFn pairs_of,
-                   harness::RunOptions opt) {
-  JsonReporter* json = JsonReporter::active();
-  if (json != nullptr) {
-    cfg.telemetry.metrics = true;
-    // Every JSON-producing run also carries the in-fabric telemetry plane,
-    // so the emitted points include a fabric_health section.
-    cfg.telemetry.fabric.monitors = true;
-    if (cfg.telemetry.fabric.flush_period == 0) {
-      cfg.telemetry.fabric.flush_period = scaled(5 * sim::kMillisecond);
-    }
-    json->note_run_config(seed_count(), time_scale());
-  }
-  const std::string& tbase = trace_out();
-  if (!tbase.empty()) {
-    cfg.telemetry.timeseries = true;
-    cfg.telemetry.span_sample_every = trace_span_every();
-  }
-  opt.warmup = scaled(opt.warmup);
-  opt.measure = scaled(opt.measure);
-  harness::SweepOptions sweep;
-  sweep.seeds = seed_count();
-  sweep.threads = thread_count();
-  MultiRun agg = harness::run_sweep(
-      cfg,
-      [&pairs_of, &opt](const harness::ExperimentConfig& seeded) {
-        return harness::run_pairs(seeded, pairs_of(seeded.seed), opt);
-      },
-      sweep);
-  if (json != nullptr) json->record(cfg, agg);
-  if (!tbase.empty()) {
-    static int point = 0;  // run_seeds() invocation index in this process
-    detail::write_trace_files(tbase, point++, agg);
-  }
-  return agg;
-}
-
-/// Stride pairs factory bound to a host count/stride.
-inline auto stride_factory(std::uint32_t n, std::uint32_t k) {
-  return [n, k](std::uint64_t) { return workload::stride_pairs(n, k); };
-}
 
 /// Prints a short CDF table (the paper's CDFs) for several labelled
 /// percentile sketches side by side.

@@ -295,7 +295,9 @@ void ControlLoop::tick() {
     ++damped_;
   }
   if (history_.size() < kMaxHistory) {
-    history_.push_back(HistoryEntry{sim_.now(), weights_, push});
+    history_.push_back(HistoryEntry{sim_.now(), push});
+    history_weights_.insert(history_weights_.end(), weights_.begin(),
+                            weights_.end());
   }
   if (cfg_.stop_after == 0 || sim_.now() + cfg_.period < cfg_.stop_after) {
     sim_.schedule(cfg_.period, [this] { tick(); });
@@ -411,6 +413,7 @@ std::string ControlLoop::history_json() const {
                 ticks_, pushes_, damped_, stale_skips_);
   out += buf;
   out += "\"entries\":[";
+  const std::size_t trees = weights_.size();
   for (std::size_t i = 0; i < history_.size(); ++i) {
     const HistoryEntry& e = history_[i];
     if (i > 0) out += ',';
@@ -419,9 +422,9 @@ std::string ControlLoop::history_json() const {
                   e.pushed ? "true" : "false");
     out += buf;
     out += "\"weights\":[";
-    for (std::size_t w = 0; w < e.weights.size(); ++w) {
+    for (std::size_t w = 0; w < trees; ++w) {
       if (w > 0) out += ',';
-      std::snprintf(buf, sizeof buf, "%.4f", e.weights[w]);
+      std::snprintf(buf, sizeof buf, "%.4f", history_weights_[i * trees + w]);
       out += buf;
     }
     out += "]}";

@@ -31,8 +31,8 @@
 // All arithmetic is plain double over deterministic inputs, so two runs of
 // the same experiment produce bit-identical weight trajectories (the
 // golden closed-loop digests pin this). A tick works in buffers the loop
-// owns and reuses, so once they have grown on the first tick the only
-// allocation a tick makes is its bounded history entry.
+// owns and reuses, so once they have grown on the first tick a tick
+// allocates only when its bounded history's storage regrows.
 #pragma once
 
 #include <array>
@@ -183,10 +183,15 @@ class ControlLoop {
   /// schedule-history artifact and the bench plots).
   struct HistoryEntry {
     sim::Time at = 0;
-    std::vector<double> weights;
     bool pushed = false;
   };
   const std::vector<HistoryEntry>& history() const { return history_; }
+  /// The weights of every history entry back to back: entry i's are the
+  /// weights().size() values from i * weights().size(). One flat buffer,
+  /// so recording a tick does not allocate a vector of its own.
+  const std::vector<double>& history_weights() const {
+    return history_weights_;
+  }
   /// Renders the history as a "presto.schedule_history" JSON document.
   std::string history_json() const;
 
@@ -229,6 +234,7 @@ class ControlLoop {
   std::vector<double> next_;
   Reweighter reweighter_;
   std::vector<HistoryEntry> history_;
+  std::vector<double> history_weights_;
   std::uint64_t ticks_ = 0;
   std::uint64_t pushes_ = 0;
   std::uint64_t damped_ = 0;

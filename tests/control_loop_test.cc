@@ -327,9 +327,12 @@ TEST(ControlLoopRuntime, GrayLinkDrainsWeightFromItsTree) {
   EXPECT_GT(loop->ticks(), 20u);
   EXPECT_GT(loop->pushes(), 0u);
   double min_w0 = 1.0;
-  for (const ControlLoop::HistoryEntry& e : loop->history()) {
-    EXPECT_NEAR(sum(e.weights), 1.0, 1e-6);
-    min_w0 = std::min(min_w0, e.weights[0]);
+  const std::size_t trees = loop->weights().size();
+  const std::vector<double>& hw = loop->history_weights();
+  ASSERT_EQ(hw.size(), loop->history().size() * trees);
+  for (std::size_t i = 0; i < hw.size(); i += trees) {
+    EXPECT_NEAR(sum({hw.begin() + i, hw.begin() + i + trees}), 1.0, 1e-6);
+    min_w0 = std::min(min_w0, hw[i]);
   }
   // The sick tree must have been squeezed measurably below uniform but
   // never under the probe floor.
