@@ -11,7 +11,8 @@
 //      monitors + periodic report flushes) and the monitor overhead must
 //      stay under 5% of events/sec.
 //
-// A global allocation-counting operator new backs two guarantees:
+// A global allocation-counting operator new (tests/alloc_count.cc, linked
+// as its own translation unit) backs two guarantees:
 //   - the steady-state schedule path performs ZERO heap allocations for
 //     captures <= 48 bytes (asserted on a bare Simulation loop);
 //   - the end-to-end run's allocations-per-event stays bounded (reported).
@@ -24,18 +25,17 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bench_micro_json.h"
 #include "harness/runners.h"
 #include "net/packet_pool.h"
@@ -46,39 +46,10 @@
 #include "telemetry/json.h"
 #include "telemetry/json_parse.h"
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Allocation counting hook
-// ---------------------------------------------------------------------------
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace presto::bench {
 namespace {
 
-std::uint64_t allocs_now() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+std::uint64_t allocs_now() { return presto::testing::alloc_count(); }
 
 /// Peak resident set size in bytes (Linux: ru_maxrss is in KiB).
 std::uint64_t peak_rss_bytes() {
@@ -139,9 +110,9 @@ void BM_EventQueueChurn(benchmark::State& state) {
     }
     for (int i = 0; i < kBatch; ++i) {
       sim::Time when;
-      sim::EventFn fn = q.pop(&when);
+      const std::uint32_t slot = q.pop_due(sim::kTimeNever, &when);
       now = when;
-      fn();
+      q.call(slot);
     }
     benchmark::DoNotOptimize(sink);
   }

@@ -7,8 +7,10 @@
 // fall back to a single heap allocation, exactly like std::function, so
 // correctness never depends on capture size.
 //
-// EventFn is move-only (events are scheduled once and invoked once) and its
-// move is noexcept, so vector-backed event storage relocates without copies.
+// EventFn is move-only (events are scheduled once and invoked once). The
+// scheduler never moves one: each is constructed in its event's queue slot
+// and called there (sim/event_queue.h). The noexcept move serves callers
+// that hold an EventFn themselves before scheduling it.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +24,6 @@ class EventFn {
  public:
   /// Inline capture budget. Anything larger heap-allocates (one malloc).
   static constexpr std::size_t kInlineBytes = 64;
-
-  EventFn() noexcept = default;
 
   template <typename F,
             typename = std::enable_if_t<
@@ -48,36 +48,18 @@ class EventFn {
     }
   }
 
-  EventFn& operator=(EventFn&& o) noexcept {
-    if (this != &o) {
-      reset();
-      ops_ = o.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(buf_, o.buf_);
-        o.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
 
-  ~EventFn() { reset(); }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
+  ~EventFn() {
+    if (ops_ != nullptr) ops_->destroy(buf_);
   }
-
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   void operator()() { ops_->call(buf_); }
 
   /// True when callable type F would be stored inline (introspection for
-  /// the allocation-free guarantee asserted by bench/perf_core).
+  /// the allocation-free schedule path; tests/schedule_alloc_test.cc
+  /// checks it at run time).
   template <typename F>
   static constexpr bool fits_inline() {
     using Fn = std::decay_t<F>;
@@ -89,8 +71,7 @@ class EventFn {
  private:
   struct Ops {
     void (*call)(void* self);
-    /// Move-constructs dst from src, then destroys src. noexcept so vector
-    /// relocation of event storage never copies.
+    /// Move-constructs dst from src, then destroys src.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* self) noexcept;
   };

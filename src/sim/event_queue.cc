@@ -25,18 +25,33 @@ Time EventQueue::align_down(Time t) {
   return t & ~static_cast<Time>((Time{1} << kBucketShift) - 1);
 }
 
-void EventQueue::push(Time when, EventFn fn) {
+EventQueue::~EventQueue() {
+  // Popped entries (bucket cur_'s run before run_pos_, spawn_ before
+  // spawn_pos_) name slots already freed, and possibly reused.
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    const std::vector<Handle>& v = buckets_[b];
+    for (std::size_t i = b == cur_ && run_built_ ? run_pos_ : 0; i < v.size();
+         ++i) {
+      slot(v[i].slot).fn.~EventFn();
+    }
+  }
+  for (std::size_t i = spawn_pos_; i < spawn_.size(); ++i) {
+    slot(spawn_[i].slot).fn.~EventFn();
+  }
+  for (const FarHandle& h : far_) slot(h.slot).fn.~EventFn();
+}
+
+void EventQueue::insert(Time when, std::uint32_t s) {
   if (size_ == 0) {
     // Empty queue: re-anchor the window at this event's bucket so sparse
     // schedules never walk the window forward bucket by bucket. The bucket
-    // last drained may still hold moved-from items — recycle it first; it
+    // last drained may still hold popped entries — recycle it first; it
     // is the only one that can, so every occupancy bit goes with it.
     if (cur_ < kBucketCount) buckets_[cur_].clear();
     std::fill(std::begin(occupied_), std::end(occupied_), 0);
     start_ = align_down(when);
     cur_ = 0;
     run_built_ = false;
-    run_.clear();
     run_pos_ = 0;
     spawn_.clear();
     spawn_pos_ = 0;
@@ -47,41 +62,46 @@ void EventQueue::push(Time when, EventFn fn) {
   // once bucket_end saturates, later buckets are indistinguishable, so the
   // spawn merge (order-correct for any key) takes everything.
   if (when < cur_end || cur_end == kTimeNever) {
-    // Lands in (or before) the bucket currently being drained. Append to its
-    // storage; if the bucket's execution order is already built, merge the
-    // new key through the spawn run. Keys pushed here are below every other
-    // bucket's range, so taking min(run head, spawn head) stays globally
-    // correct even for un-clamped past timestamps.
-    const auto idx = static_cast<std::uint32_t>(buckets_[cur_].size());
-    add_to_bucket(cur_, when, std::move(fn));
-    if (run_built_) {
-      const OrderKey key{when, idx};
-      // Re-entrant schedules are overwhelmingly monotone (at or after the
-      // event being executed), so this is an O(1) append in practice.
-      if (spawn_.empty() || spawn_.back() < key) {
-        spawn_.push_back(key);
-      } else {
-        spawn_.insert(
-            std::upper_bound(spawn_.begin() + static_cast<std::ptrdiff_t>(
-                                                  spawn_pos_),
-                             spawn_.end(), key),
-            key);
-      }
+    // Lands in (or before) the bucket currently being drained. Before its
+    // run is built, this is a plain append; after, the entry merges through
+    // the spawn run, ordered after every run entry of its timestamp. Keys
+    // pushed here are below every other bucket's range, so taking
+    // min(run head, spawn head) stays globally correct even for
+    // un-clamped past timestamps.
+    if (!run_built_) {
+      add_to_bucket(cur_, when, s);
+      return;
+    }
+    const Handle h{when,
+                   static_cast<std::uint32_t>(buckets_[cur_].size() +
+                                              spawn_.size()),
+                   s};
+    // Re-entrant schedules are overwhelmingly monotone (at or after the
+    // event being executed), so this is an O(1) append in practice.
+    if (spawn_.empty() || spawn_.back() < h) {
+      spawn_.push_back(h);
+    } else {
+      spawn_.insert(
+          std::upper_bound(spawn_.begin() +
+                               static_cast<std::ptrdiff_t>(spawn_pos_),
+                           spawn_.end(), h),
+          h);
     }
     return;
   }
   const std::uint64_t delta =
       static_cast<std::uint64_t>(when) - static_cast<std::uint64_t>(start_);
   if (delta < kSpan) {
-    add_to_bucket(delta >> kBucketShift, when, std::move(fn));
+    add_to_bucket(delta >> kBucketShift, when, s);
     return;
   }
-  far_.push_back(FarItem{when, far_seq_++, std::move(fn)});
+  far_.push_back(FarHandle{when, far_seq_++, s});
   std::push_heap(far_.begin(), far_.end());
 }
 
-void EventQueue::add_to_bucket(std::size_t b, Time when, EventFn&& fn) {
-  buckets_[b].push_back(Item{when, std::move(fn)});
+void EventQueue::add_to_bucket(std::size_t b, Time when, std::uint32_t s) {
+  std::vector<Handle>& v = buckets_[b];
+  v.push_back(Handle{when, static_cast<std::uint32_t>(v.size()), s});
   occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
 }
 
@@ -97,13 +117,7 @@ std::size_t EventQueue::next_occupied(std::size_t from) const {
 }
 
 void EventQueue::build_run() {
-  const auto& b = buckets_[cur_];
-  run_.clear();
-  run_.reserve(b.size());
-  for (std::uint32_t i = 0; i < b.size(); ++i) {
-    run_.push_back(OrderKey{b[i].when, i});
-  }
-  std::sort(run_.begin(), run_.end());
+  std::sort(buckets_[cur_].begin(), buckets_[cur_].end());
   run_pos_ = 0;
   spawn_.clear();
   spawn_pos_ = 0;
@@ -124,8 +138,7 @@ void EventQueue::refill_from_far() {
         static_cast<std::uint64_t>(start_);
     if (delta >= kSpan) break;
     std::pop_heap(far_.begin(), far_.end());
-    FarItem& it = far_.back();
-    add_to_bucket(delta >> kBucketShift, it.when, std::move(it.fn));
+    add_to_bucket(delta >> kBucketShift, far_.back().when, far_.back().slot);
     far_.pop_back();
   }
 }
@@ -133,11 +146,12 @@ void EventQueue::refill_from_far() {
 void EventQueue::settle() {
   for (;;) {
     if (run_built_) {
-      if (run_pos_ < run_.size() || spawn_pos_ < spawn_.size()) return;
+      if (run_pos_ < buckets_[cur_].size() || spawn_pos_ < spawn_.size()) {
+        return;
+      }
       // Current bucket fully drained: recycle its storage (capacity kept).
       buckets_[cur_].clear();
       occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
-      run_.clear();
       run_pos_ = 0;
       spawn_.clear();
       spawn_pos_ = 0;
@@ -155,44 +169,30 @@ void EventQueue::settle() {
 
 bool EventQueue::spawn_first() const {
   if (spawn_pos_ >= spawn_.size()) return false;
-  if (run_pos_ >= run_.size()) return true;
-  return spawn_[spawn_pos_] < run_[run_pos_];
+  const std::vector<Handle>& run = buckets_[cur_];
+  if (run_pos_ >= run.size()) return true;
+  return spawn_[spawn_pos_] < run[run_pos_];
 }
 
 Time EventQueue::min_time() {
   settle();
-  return spawn_first() ? spawn_[spawn_pos_].when : run_[run_pos_].when;
+  return spawn_first() ? spawn_[spawn_pos_].when
+                       : buckets_[cur_][run_pos_].when;
 }
 
-EventFn EventQueue::pop(Time* when_out) {
-  settle();
-  OrderKey key;
-  if (spawn_first()) {
-    key = spawn_[spawn_pos_++];
-  } else {
-    key = run_[run_pos_++];
-  }
-  Item& it = buckets_[cur_][key.idx];
-  *when_out = it.when;
-  --size_;
-  return std::move(it.fn);
-}
-
-bool EventQueue::pop_due(Time deadline, Time* when_out, EventFn* out) {
+std::uint32_t EventQueue::pop_due(Time deadline, Time* when_out) {
   settle();
   const bool spawn = spawn_first();
-  const OrderKey key = spawn ? spawn_[spawn_pos_] : run_[run_pos_];
-  if (key.when > deadline) return false;
+  const Handle h = spawn ? spawn_[spawn_pos_] : buckets_[cur_][run_pos_];
+  if (h.when > deadline) return kNone;
   if (spawn) {
     ++spawn_pos_;
   } else {
     ++run_pos_;
   }
-  Item& it = buckets_[cur_][key.idx];
-  *when_out = it.when;
-  *out = std::move(it.fn);
+  *when_out = h.when;
   --size_;
-  return true;
+  return h.slot;
 }
 
 }  // namespace presto::sim

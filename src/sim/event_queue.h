@@ -12,16 +12,27 @@
 // order with FIFO insertion-order tie-break, bit-identical to the reference
 // heap (tests/event_queue_test.cc drives both against each other).
 //
+// Each event's callable lives in one slot of a chunked slab from push until
+// its call returns: it is constructed there once and called there, while
+// buckets, runs and the far heap move 16-byte handles (24 in the far heap,
+// which adds a sequence number). Chunks never move, so a callback that
+// grows the slab by pushing cannot invalidate itself; a slot is freed only
+// after its call returns.
+//
 // Steady-state cost per event is O(1) amortized pushes plus an O(k log k)
 // sort per k-event bucket, with zero heap allocations once bucket capacity
-// has warmed up (vectors are cleared, never shrunk). A 1024-bit occupancy
-// bitmap mirrors which buckets hold events, so reaching the next event
-// across a sparse window costs one word scan per 64 buckets instead of one
-// emptiness test per bucket.
+// and the slab have warmed up (vectors are cleared, never shrunk; freed
+// slots are reused last-in first-out). A 1024-bit occupancy bitmap mirrors
+// which buckets hold events, so reaching the next event across a sparse
+// window costs one word scan per 64 buckets instead of one emptiness test
+// per bucket.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.h"
@@ -31,15 +42,28 @@ namespace presto::sim {
 
 class EventQueue {
  public:
+  /// Slots per slab chunk. The slab grows by one chunk at a time.
+  static constexpr std::uint32_t kChunkSlots = 256;
+  /// pop_due's answer when no event is due.
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
+  /// Destroys each pending callable once.
+  ~EventQueue();
 
-  /// Inserts an event. Insertion order defines the FIFO tie-break among
-  /// equal timestamps. `when` may be earlier than previously popped events
-  /// (the caller is expected to clamp; an un-clamped past event simply runs
-  /// next, as it would with a heap).
-  void push(Time when, EventFn fn);
+  /// Inserts an event, constructing its callable from `f` in a free slot.
+  /// Insertion order defines the FIFO tie-break among equal timestamps.
+  /// `when` may be earlier than previously popped events (the caller is
+  /// expected to clamp; an un-clamped past event simply runs next, as it
+  /// would with a heap).
+  template <typename F>
+  void push(Time when, F&& f) {
+    const std::uint32_t s = take_slot();
+    ::new (static_cast<void*>(&slot(s).fn)) EventFn(std::forward<F>(f));
+    insert(when, s);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -48,15 +72,30 @@ class EventQueue {
   /// window state (amortized O(1)); logical contents are unchanged.
   Time min_time();
 
-  /// Removes and returns the next event in (when, seq) order. Requires
-  /// !empty(). `*when_out` receives its timestamp.
-  EventFn pop(Time* when_out);
+  /// The scheduler's pop: if the next event in (when, seq) order is due at
+  /// or before `deadline`, removes it from the order, writes its timestamp
+  /// to `*when_out` and returns its slot, whose callable stays in place
+  /// until call(). Otherwise leaves the queue untouched and returns kNone.
+  /// Requires !empty().
+  std::uint32_t pop_due(Time deadline, Time* when_out);
 
-  /// Fused min_time()+pop() for the scheduler loop: if the next event is due
-  /// at or before `deadline`, pops it into `*out`/`*when_out` and returns
-  /// true; otherwise leaves the queue untouched and returns false. Requires
-  /// !empty(). Settles the window once instead of twice per event.
-  bool pop_due(Time deadline, Time* when_out, EventFn* out);
+  /// Calls a popped event in its slot, then destroys the callable and frees
+  /// the slot — after the call returns, or as an exception leaves it. The
+  /// call may push events; none of them can take or move this slot.
+  void call(std::uint32_t s) {
+    // Chunks never move, so `sl` stays valid across the call's pushes.
+    struct Release {
+      EventQueue& q;
+      Slot& sl;
+      std::uint32_t s;
+      ~Release() {
+        sl.fn.~EventFn();
+        sl.next_free = q.free_;
+        q.free_ = s;
+      }
+    } release{*this, slot(s), s};
+    release.sl.fn();
+  }
 
  private:
   /// Bucket width: 2^kBucketShift ns (256 ns — below per-packet
@@ -69,69 +108,101 @@ class EventQueue {
       kBucketCount << kBucketShift;  ///< window width in ns
   static constexpr std::size_t kWords = kBucketCount / 64;
 
-  struct Item {
-    Time when;
+  /// One event's storage: raw bytes until first used, then the event's
+  /// callable from push until its call returns, and the next free slot's
+  /// index while it is free.
+  union Slot {
+    Slot() {}
+    ~Slot() {}
     EventFn fn;
+    std::uint32_t next_free;
+  };
+
+  /// A bucket or spawn-run entry. `ord` is the entry's insertion index in
+  /// its bucket; spawn entries continue the count past the bucket's size.
+  /// Insertion index is monotone in global push order, so (when, ord)
+  /// orders identically to (when, seq) — no need to store seq at all.
+  struct Handle {
+    Time when;
+    std::uint32_t ord;
+    std::uint32_t slot;
+    bool operator<(const Handle& o) const {
+      return when != o.when ? when < o.when : ord < o.ord;
+    }
   };
 
   /// far_ heap entry. `seq` is the global push order among far events, so
   /// equal-timestamp events leave the heap in FIFO order (and therefore
   /// enter their bucket in the same relative order a direct push would
   /// have produced).
-  struct FarItem {
+  struct FarHandle {
     Time when;
     std::uint64_t seq;
-    EventFn fn;
+    std::uint32_t slot;
     /// std::push_heap builds a max-heap; invert to get a (when, seq)
     /// min-heap.
-    bool operator<(const FarItem& o) const {
+    bool operator<(const FarHandle& o) const {
       return when != o.when ? when > o.when : seq > o.seq;
     }
   };
 
-  /// Sort key for the current bucket. Within one bucket vector, insertion
-  /// index is monotone in global sequence number, so (when, idx) orders
-  /// identically to (when, seq) — no need to store seq at all.
-  struct OrderKey {
-    Time when;
-    std::uint32_t idx;
-    bool operator<(const OrderKey& o) const {
-      return when != o.when ? when < o.when : idx < o.idx;
+  Slot& slot(std::uint32_t s) {
+    return chunks_[s / kChunkSlots][s % kChunkSlots];
+  }
+  /// A free slot: the one freed last, else the next never-used one.
+  std::uint32_t take_slot() {
+    if (free_ != kNone) {
+      const std::uint32_t s = free_;
+      free_ = slot(s).next_free;
+      return s;
     }
-  };
+    if (used_ == chunks_.size() * kChunkSlots) {
+      // Default-initialized: a chunk's slots stay raw until first used.
+      chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+    }
+    return used_++;
+  }
 
+  /// Orders an event whose callable is already in slot `s`.
+  void insert(Time when, std::uint32_t s);
   Time bucket_end(std::size_t b) const;
   static Time align_down(Time t);
-  /// Ensures the head of run_/spawn_ is the global minimum event.
+  /// Ensures the head of the run/spawn_ is the global minimum event.
   void settle();
   void build_run();
   void refill_from_far();
   /// True if the spawn head precedes the run head.
   bool spawn_first() const;
   /// Appends to bucket `b` and marks it occupied.
-  void add_to_bucket(std::size_t b, Time when, EventFn&& fn);
+  void add_to_bucket(std::size_t b, Time when, std::uint32_t s);
   /// First occupied bucket at or after `from`, or kBucketCount.
   std::size_t next_occupied(std::size_t from) const;
 
-  std::vector<Item> buckets_[kBucketCount];
+  /// Once built, bucket cur_ is itself the sorted run: entries before
+  /// run_pos_ have been popped.
+  std::vector<Handle> buckets_[kBucketCount];
   /// Bit b set <=> buckets_[b] is non-empty (the bucket being drained keeps
   /// its bit until it is recycled).
   std::uint64_t occupied_[kWords] = {};
   /// Events beyond the current window, as a (when, seq) min-heap: window
   /// advances pop exactly the events that enter the new window instead of
   /// rescanning every far-dated timer.
-  std::vector<FarItem> far_;
+  std::vector<FarHandle> far_;
   std::uint64_t far_seq_ = 0;    ///< next FIFO sequence number for far_
   Time start_ = 0;               ///< time at the base of bucket 0
   std::size_t cur_ = 0;          ///< bucket being drained / scanned next
-  bool run_built_ = false;       ///< current bucket sorted into run_?
-
-  std::vector<OrderKey> run_;    ///< sorted execution order of bucket cur_
-  std::size_t run_pos_ = 0;
-  std::vector<OrderKey> spawn_;  ///< sorted keys pushed into cur_ mid-drain
+  bool run_built_ = false;       ///< bucket cur_ sorted into its run?
+  std::size_t run_pos_ = 0;      ///< next entry of bucket cur_'s run
+  std::vector<Handle> spawn_;    ///< sorted entries pushed into cur_ mid-drain
   std::size_t spawn_pos_ = 0;
 
   std::size_t size_ = 0;
+
+  /// The slab. Chunks never move once allocated; slot s is
+  /// chunks_[s / kChunkSlots][s % kChunkSlots].
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t used_ = 0;       ///< slots ever handed out (bump pointer)
+  std::uint32_t free_ = kNone;   ///< head of the LIFO free list
 };
 
 }  // namespace presto::sim

@@ -6,15 +6,16 @@
 // the queue in timestamp order. Ties are broken by insertion order (FIFO),
 // which keeps packet processing at equal timestamps deterministic.
 //
-// Callbacks are EventFn (sim/event_fn.h): captures up to 64 bytes are
-// stored inline, so the steady-state schedule path performs zero heap
-// allocations per event.
+// Callbacks are stored as EventFn (sim/event_fn.h), constructed once in the
+// event's queue slot from the callable schedule() forwards and called
+// there: captures up to 64 bytes are stored inline, so the steady-state
+// schedule path performs zero heap allocations per event.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/digest.h"
-#include "sim/event_fn.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
@@ -24,8 +25,6 @@ namespace presto::sim {
 /// runs on a single thread by design (determinism over parallelism).
 class Simulation {
  public:
-  using Callback = EventFn;
-
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -33,16 +32,19 @@ class Simulation {
   /// Current virtual time.
   Time now() const { return now_; }
 
-  /// Schedules `cb` to run `delay` ns from now. Negative delays are clamped
-  /// to zero (run "immediately", after already-queued events at `now`).
-  void schedule(Time delay, Callback cb) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  /// Schedules callable `cb` to run `delay` ns from now. Negative delays
+  /// are clamped to zero (run "immediately", after already-queued events at
+  /// `now`).
+  template <typename F>
+  void schedule(Time delay, F&& cb) {
+    schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(cb));
   }
 
-  /// Schedules `cb` at absolute time `when` (clamped to now()).
-  void schedule_at(Time when, Callback cb) {
+  /// Schedules callable `cb` at absolute time `when` (clamped to now()).
+  template <typename F>
+  void schedule_at(Time when, F&& cb) {
     if (when < now_) when = now_;
-    queue_.push(when, std::move(cb));
+    queue_.push(when, std::forward<F>(cb));
   }
 
   /// Runs events until the queue is empty or `stop()` is called.
@@ -56,14 +58,14 @@ class Simulation {
   void run_until(Time deadline) {
     stopped_ = false;
     while (!stopped_ && !queue_.empty()) {
-      // The callback is moved out of queue storage before it runs, so it
-      // survives re-entrant scheduling from inside the callback.
       Time when;
-      EventFn fn;
-      if (!queue_.pop_due(deadline, &when, &fn)) break;
+      const std::uint32_t slot = queue_.pop_due(deadline, &when);
+      if (slot == EventQueue::kNone) break;
       now_ = when;
       ++executed_;
-      fn();
+      // Runs in its queue slot, which re-entrant schedules from inside the
+      // callback can neither move nor reuse until it returns.
+      queue_.call(slot);
     }
     if (!stopped_ && deadline != kTimeNever && now_ < deadline) {
       now_ = deadline;
@@ -81,11 +83,11 @@ class Simulation {
     stopped_ = false;
     while (!stopped_ && executed_ < target && !queue_.empty()) {
       Time when;
-      EventFn fn;
-      if (!queue_.pop_due(deadline, &when, &fn)) break;
+      const std::uint32_t slot = queue_.pop_due(deadline, &when);
+      if (slot == EventQueue::kNone) break;
       now_ = when;
       ++executed_;
-      fn();
+      queue_.call(slot);
     }
   }
 

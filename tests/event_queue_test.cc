@@ -5,10 +5,18 @@
 // sequence. Every workload below drives EventQueue and the oracle with the
 // identical operation stream and requires bit-identical pop order —
 // including equal-timestamp ties, re-entrant scheduling mid-drain, events
-// pushed into the past, and timestamps far beyond the ladder window.
+// pushed into the past, and timestamps far beyond the ladder window. The
+// queue is popped the way Simulation pops it: pop_due, then call() in the
+// event's slot.
+//
+// The slot-lifetime cases check the slab under the in-place call: a
+// callback that grows the slab by more than a chunk still reads its own
+// captures, teardown destroys each pending callable exactly once, and a
+// recycled slot starts clean.
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,8 +73,9 @@ class Differ {
     ASSERT_FALSE(oracle_.empty());
     EXPECT_EQ(queue_.min_time(), oracle_.min_time());
     Time when = 0;
-    EventFn fn = queue_.pop(&when);
-    fn();
+    const std::uint32_t slot = queue_.pop_due(kTimeNever, &when);
+    ASSERT_NE(slot, EventQueue::kNone);
+    queue_.call(slot);
     const auto [owhen, oid] = oracle_.pop();
     EXPECT_EQ(when, owhen);
     EXPECT_EQ(last_id_, oid);
@@ -262,9 +271,9 @@ TEST(EventQueueTest, ReentrantPushesDuringDrain) {
   spawn(10);
   while (!q.empty()) {
     Time when = 0;
-    EventFn fn = q.pop(&when);
+    const std::uint32_t slot = q.pop_due(kTimeNever, &when);
     now = when;
-    fn();
+    q.call(slot);
   }
   while (!oracle.empty()) want.push_back(oracle.pop());
   // The oracle cannot run callbacks, so replay its order against the log:
@@ -287,11 +296,178 @@ TEST(EventQueueTest, HeapFallbackForLargeCaptures) {
   std::uint64_t seen = 0;
   q.push(100, [big, &seen] { seen = big.data[15]; });
   Time when = 0;
-  EventFn fn = q.pop(&when);
-  fn();
+  q.call(q.pop_due(kTimeNever, &when));
   EXPECT_EQ(when, 100);
   EXPECT_EQ(seen, 77u);
   EXPECT_TRUE(q.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Slot lifetime: in-place calls, teardown, recycling
+// ---------------------------------------------------------------------------
+
+/// Counts destructor runs of live (not moved-from) instances.
+class DtorCount {
+ public:
+  explicit DtorCount(int* count) : count_(count) {}
+  DtorCount(DtorCount&& o) noexcept : count_(std::exchange(o.count_, nullptr)) {}
+  DtorCount& operator=(DtorCount&&) = delete;
+  ~DtorCount() {
+    if (count_ != nullptr) ++*count_;
+  }
+
+ private:
+  int* count_;
+};
+
+/// Padding that pushes a capture past EventFn's inline budget.
+struct Pad80 {
+  std::uint64_t words[10] = {};
+};
+
+/// An event that counts its runs and its destruction: stored inline.
+auto small_event(int* dtors, int* runs) {
+  return [d = DtorCount(dtors), runs] { ++*runs; };
+}
+/// The same with a capture past the inline budget: heap fallback.
+auto big_event(int* dtors, int* runs) {
+  return [d = DtorCount(dtors), runs, pad = Pad80{}] { *runs += 1 + static_cast<int>(pad.words[9]); };
+}
+static_assert(EventFn::fits_inline<decltype(small_event(nullptr, nullptr))>());
+static_assert(!EventFn::fits_inline<decltype(big_event(nullptr, nullptr))>());
+
+/// Runs in place while pushing more events than a slab chunk holds, then
+/// reads its own captures. Its fields are laid out so that a push reusing
+/// its slot mid-call overwrites `a` and `b` first.
+struct Grower {
+  std::uint64_t a;
+  std::uint64_t b;
+  Simulation* sim;
+  std::vector<std::uint64_t>* out;
+  void operator()() {
+    for (std::uint64_t i = 0; i < 3 * EventQueue::kChunkSlots; ++i) {
+      sim->schedule(static_cast<Time>(1 + i), [o = out, i] { o->push_back(i); });
+    }
+    out->push_back(a);
+    out->push_back(b);
+  }
+};
+
+TEST(SimulationQueueTest, CallbackGrowingTheSlabKeepsItsCaptures) {
+  Simulation sim;
+  std::vector<std::uint64_t> out;
+  sim.schedule(10, Grower{0xA11CE5EEDull, 0xB0B0B0B0B0ull, &sim, &out});
+  sim.run();
+  std::vector<std::uint64_t> want = {0xA11CE5EEDull, 0xB0B0B0B0B0ull};
+  for (std::uint64_t i = 0; i < 3 * EventQueue::kChunkSlots; ++i) {
+    want.push_back(i);
+  }
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(sim.executed(), 1 + 3 * EventQueue::kChunkSlots);
+}
+
+TEST(EventQueueTest, TeardownDestroysEachPendingCallableOnce) {
+  int small_dtors = 0, big_dtors = 0, runs = 0;
+  {
+    EventQueue q;
+    // The first event pushes into the bucket being drained: the spawn run.
+    q.push(100, [&] {
+      q.push(100, small_event(&small_dtors, &runs));
+      q.push(100, big_event(&big_dtors, &runs));
+    });
+    for (int i = 0; i < 4; ++i) {
+      q.push(100, small_event(&small_dtors, &runs));
+      q.push(100, big_event(&big_dtors, &runs));
+    }
+    q.push(5'000, small_event(&small_dtors, &runs));   // a later bucket
+    q.push(5'000, big_event(&big_dtors, &runs));
+    q.push(50'000'000, small_event(&small_dtors, &runs));  // the far heap
+    q.push(50'000'000, big_event(&big_dtors, &runs));
+    // Call the spawner and three more: the current bucket's run is left
+    // part-drained, and two new events take slots those calls freed.
+    for (int i = 0; i < 4; ++i) {
+      Time when = 0;
+      q.call(q.pop_due(kTimeNever, &when));
+    }
+    q.push(5'000, small_event(&small_dtors, &runs));
+    q.push(5'000, big_event(&big_dtors, &runs));
+    EXPECT_EQ(runs, 3);
+    EXPECT_EQ(small_dtors, 2);
+    EXPECT_EQ(big_dtors, 1);
+    EXPECT_EQ(q.size(), 13u);
+  }
+  // 8 inline and 8 heap-fallback events were made; the 13 pending ones
+  // were destroyed by the teardown, once each.
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(small_dtors, 8);
+  EXPECT_EQ(big_dtors, 8);
+}
+
+TEST(SimulationQueueTest, TeardownDestroysEachPendingCallableOnce) {
+  int small_dtors = 0, big_dtors = 0, runs = 0;
+  {
+    Simulation sim;
+    for (int i = 0; i < 5; ++i) {
+      sim.schedule(100, small_event(&small_dtors, &runs));
+      sim.schedule(100, big_event(&big_dtors, &runs));
+    }
+    // Stops mid-bucket after leaving two events in its spawn run.
+    sim.schedule(100, [&] {
+      sim.schedule(0, small_event(&small_dtors, &runs));
+      sim.schedule(0, big_event(&big_dtors, &runs));
+      sim.stop();
+    });
+    for (int i = 0; i < 5; ++i) {
+      sim.schedule(100, small_event(&small_dtors, &runs));
+      sim.schedule(100, big_event(&big_dtors, &runs));
+    }
+    sim.schedule(3'000, small_event(&small_dtors, &runs));
+    sim.schedule(7'000'000'000, big_event(&big_dtors, &runs));
+    sim.run();
+    EXPECT_EQ(runs, 10);
+    EXPECT_EQ(small_dtors, 5);
+    EXPECT_EQ(big_dtors, 5);
+    EXPECT_EQ(sim.pending(), 14u);
+  }
+  EXPECT_EQ(runs, 10);
+  EXPECT_EQ(small_dtors, 12);
+  EXPECT_EQ(big_dtors, 12);
+}
+
+TEST(EventQueueTest, RecycledSlotStartsClean) {
+  // Each event lands in the slot its predecessor freed (the free list is
+  // last-in first-out), alternating inline and heap-fallback captures: it
+  // sees only its own captures, and each callable is destroyed once, when
+  // its call returns — not again when its slot is reused.
+  int dtors = 0;
+  std::vector<std::uint64_t> seen;
+  {
+    EventQueue q;
+    std::uint32_t first = EventQueue::kNone;
+    for (std::uint64_t k = 0; k < 6; ++k) {
+      if (k % 2 == 0) {
+        q.push(static_cast<Time>(k),
+               [d = DtorCount(&dtors), &seen, k] { seen.push_back(k); });
+      } else {
+        q.push(static_cast<Time>(k),
+               [d = DtorCount(&dtors), &seen, k, pad = Pad80{}] {
+                 seen.push_back(k + pad.words[9]);
+               });
+      }
+      Time when = 0;
+      const std::uint32_t slot = q.pop_due(kTimeNever, &when);
+      if (k == 0) first = slot;
+      EXPECT_EQ(slot, first) << "event " << k;
+      EXPECT_EQ(dtors, static_cast<int>(k));
+      q.call(slot);
+      EXPECT_EQ(dtors, static_cast<int>(k) + 1);
+    }
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+    // A pending event in the recycled slot is destroyed once by teardown.
+    q.push(10, [d = DtorCount(&dtors), &seen] { seen.push_back(99); });
+  }
+  EXPECT_EQ(dtors, 7);
+  EXPECT_EQ(seen.size(), 6u);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,25 +476,30 @@ TEST(EventQueueTest, HeapFallbackForLargeCaptures) {
 
 TEST(EventQueueTest, PopDueDeadlineIsInclusiveAndNonConsumingPastIt) {
   EventQueue q;
-  q.push(100, [] {});
-  q.push(200, [] {});
+  std::vector<int> ran;
+  q.push(100, [&] { ran.push_back(100); });
+  q.push(200, [&] { ran.push_back(200); });
 
   Time when = -1;
-  EventFn fn;
   // An event strictly past the deadline is not popped and not consumed.
-  EXPECT_FALSE(q.pop_due(99, &when, &fn));
+  EXPECT_EQ(q.pop_due(99, &when), EventQueue::kNone);
   EXPECT_EQ(q.size(), 2u);
 
   // An event exactly at the deadline is due.
-  EXPECT_TRUE(q.pop_due(100, &when, &fn));
+  std::uint32_t slot = q.pop_due(100, &when);
+  ASSERT_NE(slot, EventQueue::kNone);
   EXPECT_EQ(when, 100);
   EXPECT_EQ(q.size(), 1u);
+  q.call(slot);
 
   // The refusal left the later event intact and still ordered.
-  EXPECT_FALSE(q.pop_due(199, &when, &fn));
-  EXPECT_TRUE(q.pop_due(200, &when, &fn));
+  EXPECT_EQ(q.pop_due(199, &when), EventQueue::kNone);
+  slot = q.pop_due(200, &when);
+  ASSERT_NE(slot, EventQueue::kNone);
   EXPECT_EQ(when, 200);
   EXPECT_EQ(q.size(), 0u);
+  q.call(slot);
+  EXPECT_EQ(ran, (std::vector<int>{100, 200}));
 }
 
 TEST(SimulationQueueTest, PastDeadlinesClampToNow) {
