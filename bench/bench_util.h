@@ -191,12 +191,4 @@ inline void print_cdf_table(
   std::printf("\n");
 }
 
-/// All four headline schemes compared in the paper's evaluation.
-inline const std::vector<harness::Scheme>& headline_schemes() {
-  static const std::vector<harness::Scheme> kSchemes = {
-      harness::Scheme::kEcmp, harness::Scheme::kMptcp,
-      harness::Scheme::kPresto, harness::Scheme::kOptimal};
-  return kSchemes;
-}
-
 }  // namespace presto::bench

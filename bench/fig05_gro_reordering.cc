@@ -75,23 +75,15 @@ GroRunResult run_one(host::GroKind gro, std::uint64_t seed, bool telemetry) {
 
 GroRunResult run_seeds_for(host::GroKind gro, const JsonReporter& json) {
   // One replica per seed on the sweep pool; merged in seed order.
-  const std::vector<harness::RunResult> runs = harness::run_indexed(
-      seed_count(), thread_count(), [&](int s) {
-        GroRunResult r = run_one(gro, 5000 + s, json.enabled());
-        harness::RunResult rr;
-        rr.rtt_ms = std::move(r.ooo_counts);       // sample-slot carriers
-        rr.fct_ms = std::move(r.segment_sizes);
-        rr.avg_tput_gbps = r.tput_gbps;
-        rr.fairness = r.cpu_pct;
-        rr.telemetry = std::move(r.telemetry);
-        return rr;
-      });
+  const std::vector<GroRunResult> runs = harness::run_indexed(
+      seed_count(), thread_count(),
+      [&](int s) { return run_one(gro, 5000 + s, json.enabled()); });
   GroRunResult agg;
-  for (const harness::RunResult& r : runs) {
-    agg.ooo_counts.merge(r.rtt_ms);
-    agg.segment_sizes.merge(r.fct_ms);
-    agg.tput_gbps += r.avg_tput_gbps / seed_count();
-    agg.cpu_pct += r.fairness / seed_count();
+  for (const GroRunResult& r : runs) {
+    agg.ooo_counts.merge(r.ooo_counts);
+    agg.segment_sizes.merge(r.segment_sizes);
+    agg.tput_gbps += r.tput_gbps / seed_count();
+    agg.cpu_pct += r.cpu_pct / seed_count();
     agg.telemetry.merge(r.telemetry);
   }
   return agg;

@@ -29,10 +29,11 @@ std::vector<workload::HostPair> workload_pairs(const std::string& name,
 
 struct StageTputs {
   double symmetry = 0, failover = 0, weighted = 0;
+  harness::RunResult rr;  ///< the seed's telemetry, for the JSON point
 };
 
 StageTputs run_failure(const std::string& wl, std::uint64_t seed,
-                       bool telemetry, telemetry::Snapshot* snap) {
+                       bool telemetry) {
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kPresto;
   cfg.seed = seed;
@@ -72,7 +73,7 @@ StageTputs run_failure(const std::string& wl, std::uint64_t seed,
                              tl.weighted);
   out.weighted = window_tput(tl.weighted + scaled(10 * sim::kMillisecond),
                              tl.weighted + scaled(200 * sim::kMillisecond));
-  if (snap != nullptr) *snap = ex.telemetry_snapshot();
+  out.rr.telemetry = ex.telemetry_snapshot();
   return out;
 }
 
@@ -85,27 +86,21 @@ int main(int argc, char** argv) {
   std::printf("%-12s %10s %10s %10s\n", "workload", "Symmetry", "Failover",
               "Weighted");
   for (const std::string wl : {"L1->L4", "L4->L1", "Stride", "Bijection"}) {
-    // Seed replicas in parallel; the three stage throughputs ride in
-    // per_flow_gbps so run_indexed's RunResult plumbing can carry them.
-    const std::vector<harness::RunResult> runs = harness::run_indexed(
-        seed_count(), thread_count(), [&](int s) {
-          harness::RunResult rr;
-          const StageTputs r = run_failure(wl, 9000 + 7 * s, json.enabled(),
-                                           &rr.telemetry);
-          rr.per_flow_gbps = {r.symmetry, r.failover, r.weighted};
-          return rr;
-        });
+    // Seed replicas in parallel, merged in seed order.
+    std::vector<StageTputs> runs = harness::run_indexed(
+        seed_count(), thread_count(),
+        [&](int s) { return run_failure(wl, 9000 + 7 * s, json.enabled()); });
     StageTputs avg;
     harness::SweepResult agg;
-    for (const harness::RunResult& r : runs) {
-      avg.symmetry += r.per_flow_gbps[0] / seed_count();
-      avg.failover += r.per_flow_gbps[1] / seed_count();
-      avg.weighted += r.per_flow_gbps[2] / seed_count();
-      agg.telemetry.merge(r.telemetry);
+    for (StageTputs& r : runs) {
+      avg.symmetry += r.symmetry / seed_count();
+      avg.failover += r.failover / seed_count();
+      avg.weighted += r.weighted / seed_count();
+      agg.telemetry.merge(r.rr.telemetry);
+      agg.runs.push_back(std::move(r.rr));
     }
     if (json.enabled()) {
       agg.avg_tput_gbps = avg.symmetry;
-      agg.runs = runs;
       harness::ExperimentConfig cfg;
       cfg.scheme = harness::Scheme::kPresto;
       json.set_point(wl, {{"symmetry_gbps", avg.symmetry},

@@ -12,18 +12,26 @@
 using namespace presto;
 using namespace presto::bench;
 
+namespace {
+
+/// One seed's RTT samples per failure stage.
+struct StageRtts {
+  stats::Samples symmetry, failover, weighted;
+  telemetry::Snapshot telemetry;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   JsonReporter json("fig18_failure_rtt", argc, argv);
   json.note_run_config(seed_count(), time_scale());
   stats::DDSketch symmetry, failover, weighted;
   telemetry::Snapshot telem;
 
-  // Seed replicas in parallel. Per-stage RTT samples ride in RunResult's
-  // sample slots (rtt_ms=symmetry, fct_ms=failover) + per_flow_gbps
-  // (weighted) so run_indexed can carry them; merged in seed order below.
-  const std::vector<harness::RunResult> runs = harness::run_indexed(
+  // Seed replicas in parallel, merged in seed order below.
+  const std::vector<StageRtts> runs = harness::run_indexed(
       seed_count(), thread_count(), [&](int s) {
-    stats::Samples sym_s, fo_s, w_s;
+    StageRtts r;
     harness::ExperimentConfig cfg;
     cfg.scheme = harness::Scheme::kPresto;
     cfg.seed = 9100 + 7 * s;
@@ -58,29 +66,25 @@ int main(int argc, char** argv) {
       app->set_on_sample([&, tl, warmup](sim::Time issued, sim::Time fct) {
         const double ms = sim::to_millis(fct);
         if (issued >= warmup && issued < tl.failed) {
-          sym_s.add(ms);
+          r.symmetry.add(ms);
         } else if (issued >= tl.failover + 5 * sim::kMillisecond &&
                    issued < tl.weighted) {
-          fo_s.add(ms);
+          r.failover.add(ms);
         } else if (issued >= tl.weighted + 10 * sim::kMillisecond) {
-          w_s.add(ms);
+          r.weighted.add(ms);
         }
       });
       probes.push_back(std::move(app));
     }
     ex.sim().run_until(stop);
-    harness::RunResult rr;
-    rr.rtt_ms = stats::DDSketch::of(sym_s);
-    rr.fct_ms = stats::DDSketch::of(fo_s);
-    rr.per_flow_gbps = w_s.values();
-    rr.telemetry = ex.telemetry_snapshot();
-    return rr;
+    r.telemetry = ex.telemetry_snapshot();
+    return r;
   });
 
-  for (const harness::RunResult& r : runs) {
-    symmetry.merge(r.rtt_ms);
-    failover.merge(r.fct_ms);
-    for (double v : r.per_flow_gbps) weighted.add(v);
+  for (const StageRtts& r : runs) {
+    symmetry.merge(stats::DDSketch::of(r.symmetry));
+    failover.merge(stats::DDSketch::of(r.failover));
+    weighted.add_all(r.weighted);
     telem.merge(r.telemetry);
   }
   if (json.enabled()) {

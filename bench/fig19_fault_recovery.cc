@@ -22,10 +22,12 @@ struct FaultRun {
   double fault_gbps = 0;     ///< goodput across the whole flap interval
   double recovery_ms = 0;    ///< time after the last restore to reach 90%
   bool recovered = false;    ///< hit the 90% bar within the probe horizon
+  /// Telemetry, fabric_health and flight-recorder exports, for the JSON
+  /// point and the trace files.
+  harness::RunResult rr;
 };
 
-FaultRun run_flap(bool suspicion, std::uint64_t seed, bool telemetry,
-                  harness::RunResult* rr) {
+FaultRun run_flap(bool suspicion, std::uint64_t seed, bool telemetry) {
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kPresto;
   cfg.seed = seed;
@@ -107,13 +109,11 @@ FaultRun run_flap(bool suspicion, std::uint64_t seed, bool telemetry,
     }
   }
   out.recovery_ms = sim::to_millis(t - flap_end);
-  if (rr != nullptr) {
-    rr->telemetry = ex.telemetry_snapshot();
-    rr->fabric_health_json = ex.fabric_health_json();
-    if (ex.flight_recorder_enabled() && !trace_out().empty()) {
-      rr->trace_json = ex.export_trace_json();
-      rr->timeseries_csv = ex.export_timeseries_csv();
-    }
+  out.rr.telemetry = ex.telemetry_snapshot();
+  out.rr.fabric_health_json = ex.fabric_health_json();
+  if (ex.flight_recorder_enabled() && !trace_out().empty()) {
+    out.rr.trace_json = ex.export_trace_json();
+    out.rr.timeseries_csv = ex.export_timeseries_csv();
   }
   return out;
 }
@@ -128,28 +128,24 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %10s %12s %10s\n", "variant", "Pre", "Fault",
               "Recovery_ms", "Recovered");
   for (const bool suspicion : {false, true}) {
-    const std::vector<harness::RunResult> runs = harness::run_indexed(
+    std::vector<FaultRun> runs = harness::run_indexed(
         seed_count(), thread_count(), [&](int s) {
-          harness::RunResult rr;
-          const FaultRun r =
-              run_flap(suspicion, 9100 + 7 * s, json.enabled(), &rr);
-          rr.per_flow_gbps = {r.pre_gbps, r.fault_gbps, r.recovery_ms,
-                              r.recovered ? 1.0 : 0.0};
-          return rr;
+          return run_flap(suspicion, 9100 + 7 * s, json.enabled());
         });
     FaultRun avg;
     double recovered = 0;
     harness::SweepResult agg;
-    agg.runs = runs;
-    for (const harness::RunResult& r : runs) {
-      avg.pre_gbps += r.per_flow_gbps[0] / seed_count();
-      avg.fault_gbps += r.per_flow_gbps[1] / seed_count();
-      avg.recovery_ms += r.per_flow_gbps[2] / seed_count();
-      recovered += r.per_flow_gbps[3] / seed_count();
-      agg.telemetry.merge(r.telemetry);
-      if (agg.fabric_health_json.empty() && !r.fabric_health_json.empty()) {
-        agg.fabric_health_json = r.fabric_health_json;
+    for (FaultRun& r : runs) {
+      avg.pre_gbps += r.pre_gbps / seed_count();
+      avg.fault_gbps += r.fault_gbps / seed_count();
+      avg.recovery_ms += r.recovery_ms / seed_count();
+      recovered += (r.recovered ? 1.0 : 0.0) / seed_count();
+      agg.telemetry.merge(r.rr.telemetry);
+      if (agg.fabric_health_json.empty() &&
+          !r.rr.fabric_health_json.empty()) {
+        agg.fabric_health_json = r.rr.fabric_health_json;
       }
+      agg.runs.push_back(std::move(r.rr));
     }
     const char* name = suspicion ? "edge-suspicion" : "controller-only";
     if (!trace_out().empty()) {

@@ -204,15 +204,12 @@ int main(int argc, char** argv) {
         // in seed order (sketch merges are associative, so the merged
         // percentiles are independent of completion order anyway).
         const int n = seed_count();
-        std::vector<harness::OpenLoopResult> reps(
-            static_cast<std::size_t>(n));
-        harness::run_indexed(n, thread_count(), [&](int s) {
-          reps[static_cast<std::size_t>(s)] =
-              run_point(scheme, pass.topo, *cdf, load,
-                        6100 + 13 * static_cast<std::uint64_t>(s), opt,
-                        incast_interval, json.enabled());
-          return harness::RunResult();
-        });
+        const std::vector<harness::OpenLoopResult> reps =
+            harness::run_indexed(n, thread_count(), [&](int s) {
+              return run_point(scheme, pass.topo, *cdf, load,
+                               6100 + 13 * static_cast<std::uint64_t>(s), opt,
+                               incast_interval, json.enabled());
+            });
         harness::OpenLoopResult agg;
         for (const harness::OpenLoopResult& r : reps) {
           agg.fct_ms.merge(r.fct_ms);

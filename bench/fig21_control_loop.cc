@@ -239,14 +239,13 @@ int main(int argc, char** argv) {
     for (const std::string& disturbance : disturbances) {
       for (const bool closed : {false, true}) {
         const int n = seed_count();
-        std::vector<Rep> reps(static_cast<std::size_t>(n));
-        harness::run_indexed(n, thread_count(), [&](int s) {
-          reps[static_cast<std::size_t>(s)] = run_cell(
-              closed, topo, disturbance, w,
-              9500 + 11 * static_cast<std::uint64_t>(s), json.enabled(),
-              /*want_history=*/closed && s == 0 && !history_base.empty());
-          return harness::RunResult();
-        });
+        std::vector<Rep> reps =
+            harness::run_indexed(n, thread_count(), [&](int s) {
+              return run_cell(
+                  closed, topo, disturbance, w,
+                  9500 + 11 * static_cast<std::uint64_t>(s), json.enabled(),
+                  /*want_history=*/closed && s == 0 && !history_base.empty());
+            });
 
         stats::DDSketch fct;
         double gbps = 0;

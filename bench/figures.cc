@@ -1,13 +1,18 @@
 #include "figures.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <stdexcept>
 
 namespace presto::bench {
 namespace {
 
 using harness::ExperimentConfig;
+using harness::RunOptions;
+using harness::RunResult;
 using harness::Scheme;
 
 /// Figure 4: two leaves joined by `spines` spines, `hosts` hosts each;
@@ -37,6 +42,191 @@ std::vector<workload::HostPair> oversub(ExperimentConfig& cfg, double ratio) {
 /// The Figure 3 Clos (the config's defaults: 16 hosts) under stride(8).
 std::vector<workload::HostPair> stride8(ExperimentConfig&, double) {
   return workload::stride_pairs(16, 8);
+}
+
+/// §6's synthetic workloads on the Figure 3 Clos, as categorical sweep
+/// values.
+constexpr double kShuffle = 0, kRandom = 1, kStride = 2, kBijection = 3;
+
+/// Shuffle transfer size: the paper moves 1 GB per peer; 12 MB finishes in
+/// simulated milliseconds and still spans thousands of flowcells.
+constexpr std::uint64_t kShuffleBytes = 12'000'000;
+
+/// The Figure 3 Clos's leaves hold 4 hosts each.
+net::SwitchId leaf_of(net::HostId h) { return h / 4; }
+
+/// Figure 15's replica: random pairs and bijections are drawn per seed.
+RunResult synthetic(const ExperimentConfig& cfg, const RunOptions& opt,
+                    double wl, double) {
+  if (wl == kShuffle) return harness::run_shuffle(cfg, kShuffleBytes, opt);
+  if (wl == kStride) {
+    return harness::run_pairs(cfg, workload::stride_pairs(16, 8), opt);
+  }
+  sim::Rng rng(cfg.seed ^ 0xABCDEF);
+  return harness::run_pairs(
+      cfg,
+      wl == kRandom ? workload::random_pairs(16, leaf_of, rng)
+                    : workload::random_bijection(16, leaf_of, rng),
+      opt);
+}
+
+/// Figure 16's replica: every seed runs the same bijection.
+RunResult mice_fct(const ExperimentConfig& cfg, const RunOptions& opt,
+                   double wl, double) {
+  if (wl == kShuffle) return harness::run_shuffle(cfg, kShuffleBytes, opt);
+  sim::Rng rng(4242);
+  return harness::run_pairs(
+      cfg,
+      wl == kStride ? workload::stride_pairs(16, 8)
+                    : workload::random_bijection(16, leaf_of, rng),
+      opt);
+}
+
+/// Table 1's replica: the trace-driven workload, drained for 200 ms.
+RunResult trace(const ExperimentConfig& cfg, const RunOptions& opt, double,
+                double time_scale) {
+  return harness::run_trace(cfg, opt.warmup, opt.measure,
+                            scaled(200 * sim::kMillisecond, time_scale));
+}
+
+/// Table 2's replica (§6): one remote user per spine behind a 100 Mbps WAN
+/// link. Every server sends a web object (log-uniform 500 B-50 KB) to a
+/// random remote user every 2 ms over a persistent plain-TCP connection
+/// (the paper balances north-south traffic with ECMP whatever the
+/// east-west scheme), while stride(8) elephants and the options' mice run
+/// east-west.
+RunResult north_south(const ExperimentConfig& base, const RunOptions& opt,
+                      double, double) {
+  ExperimentConfig cfg = base;
+  cfg.remote_users_per_spine = 1;
+  cfg.remote_link_rate_bps = 100e6;
+  harness::Experiment ex(cfg);
+  sim::Rng rng = ex.fork_rng();
+  const sim::Time stop = opt.warmup + opt.measure;
+
+  const std::vector<workload::HostPair> pairs = workload::stride_pairs(16, 8);
+  std::vector<workload::ElephantApp*> elephants;
+  for (const auto& [s, d] : pairs) {
+    elephants.push_back(&ex.add_elephant(s, d, 0));
+  }
+  std::vector<std::unique_ptr<workload::PeriodicRpcApp>> mice;
+  std::vector<workload::RpcChannel*> mice_channels;
+  for (const auto& [s, d] : pairs) {
+    workload::RpcChannel& rpc = ex.open_rpc(s, d);
+    mice_channels.push_back(&rpc);
+    mice.push_back(std::make_unique<workload::PeriodicRpcApp>(
+        ex.sim(), rpc, opt.mice_bytes, opt.mice_interval,
+        sim::kMillisecond * static_cast<sim::Time>(mice.size() + 1) / 4,
+        stop, /*ping_pong=*/true));
+    mice.back()->set_measure_from(opt.warmup);
+  }
+
+  std::map<std::pair<net::HostId, net::HostId>,
+           std::unique_ptr<workload::ByteChannel>>
+      web;
+  sim::Rng web_rng = rng.fork();
+  const std::vector<net::HostId>& remotes = ex.remote_users();
+  std::function<void(net::HostId)> send_object = [&](net::HostId src) {
+    if (ex.sim().now() >= stop) return;
+    const net::HostId remote = remotes[web_rng.below(remotes.size())];
+    const auto bytes =
+        static_cast<std::uint64_t>(500.0 * std::pow(100.0, web_rng.uniform()));
+    std::unique_ptr<workload::ByteChannel>& channel = web[{src, remote}];
+    if (channel == nullptr) {
+      channel = ex.open_channel(src, remote, /*allow_mptcp=*/false);
+    }
+    channel->send(bytes);
+    ex.sim().schedule(2 * sim::kMillisecond,
+                      [&send_object, src] { send_object(src); });
+  };
+  for (net::HostId src : ex.servers()) {
+    ex.sim().schedule(
+        static_cast<sim::Time>(web_rng.below(2000)) * sim::kMicrosecond,
+        [&send_object, src] { send_object(src); });
+  }
+
+  ex.sim().run_until(opt.warmup);
+  std::vector<std::uint64_t> delivered;
+  for (const workload::ElephantApp* e : elephants) {
+    delivered.push_back(e->delivered());
+  }
+  ex.sim().run_until(stop);
+
+  RunResult r;
+  double sum = 0;
+  for (std::size_t k = 0; k < elephants.size(); ++k) {
+    r.per_flow_gbps.push_back(
+        8.0 * static_cast<double>(elephants[k]->delivered() - delivered[k]) /
+        sim::to_seconds(opt.measure) / 1e9);
+    sum += r.per_flow_gbps.back();
+  }
+  r.avg_tput_gbps = sum / static_cast<double>(elephants.size());
+  r.fairness = stats::jain_index(r.per_flow_gbps);
+  for (const auto& app : mice) {
+    for (double fct_ns : app->fcts().values()) r.fct_ms.add(fct_ns / 1e6);
+  }
+  for (const workload::RpcChannel* ch : mice_channels) {
+    r.mice_timeouts += ch->timeouts();
+  }
+  harness::collect_end_of_run(ex, r);
+  return r;
+}
+
+/// Sweep value `x`'s name in a categorical sweep; null in a numeric one.
+const char* workload_name(const Row& row, double x) {
+  if (row.workloads.empty()) return nullptr;
+  const auto i = std::find(row.sweep.begin(), row.sweep.end(), x);
+  return row.workloads[static_cast<std::size_t>(i - row.sweep.begin())];
+}
+
+/// Table 1's elephant throughput: the mean over every seed's elephants.
+double elephant_tput(const MultiRun& r) {
+  double sum = 0;
+  std::size_t n = 0;
+  for (const RunResult& run : r.runs) {
+    for (double g : run.per_flow_gbps) {
+      sum += g;
+      ++n;
+    }
+  }
+  return n == 0 ? 0 : sum / static_cast<double>(n);
+}
+
+/// Prints each variant's `sketch` at sweep value `x` as one CDF table.
+void print_cdf(const std::string& title, const Points& p, double x,
+               const stats::DDSketch MultiRun::*sketch,
+               const std::vector<const char*>& names) {
+  std::vector<std::pair<std::string, const stats::DDSketch*>> series;
+  for (std::size_t i = 0; i < p.row.variants.size(); ++i) {
+    series.emplace_back(names.empty() ? p.row.variants[i].name : names[i],
+                        &(p.at(p.row.variants[i].name, x).*sketch));
+  }
+  print_cdf_table(title, "ms", series);
+}
+
+/// Tables 1 and 2: mice FCT percentiles of each of `rivals` normalized to
+/// ECMP's. A percentile above 100 ms of a scheme whose mice hit an RTO is
+/// a min-RTO event and prints as TIMEOUT.
+void print_normalized(const Points& p, const std::vector<const char*>& rivals) {
+  std::printf("normalized to ECMP (negative = shorter FCT)\n\n");
+  std::printf("%-12s %8s", "Percentile", "ECMP");
+  for (const char* name : rivals) std::printf(" %9s", name);
+  std::printf("\n");
+  const MultiRun& ecmp = p.at("ECMP", 0);
+  for (double pct : {50.0, 90.0, 99.0, 99.9}) {
+    const double base = ecmp.fct_ms.percentile(pct);
+    std::printf("%-12.1f %8.1f", pct, 1.0);
+    for (const char* name : rivals) {
+      const MultiRun& r = p.at(name, 0);
+      const double v = r.fct_ms.percentile(pct);
+      if (pct > 99.0 && r.mice_timeouts > 0 && v > 100.0) {
+        std::printf("  %8s", "TIMEOUT");
+      } else {
+        std::printf("  %+7.0f%%", base > 0 ? 100.0 * (v - base) / base : 0.0);
+      }
+    }
+    std::printf("   (ECMP: %.2f ms)\n", base);
+  }
 }
 
 /// Figure 10's Optimal: ideal fluid sharing of the two 10 GbE paths by
@@ -92,10 +282,13 @@ constexpr bool kAtMost = false;
 constexpr double kAll = NAN;
 
 // Claims quote the paper as EXPERIMENTS.md does. Thresholds are its
-// numbers: "within a few percent" reads 5%, "9.3 vs 8.9 Gbps" reads
-// 9.3 / 8.9, and a bare ordering reads 1. Absolute levels are not claims
-// (EXPERIMENTS.md: the comparisons are the reproduction target). RTT tails
-// are p99 unless the paper names p99.9.
+// numbers: "within a few percent" reads 5%, "within 1-4%" reads 4%, a range
+// of gains or cuts reads its weaker end, "9.3 vs 8.9 Gbps" reads 9.3 / 8.9,
+// "within ~350 us" is additive, and a bare ordering reads 1. Each is
+// stated in the direction the paper argues it: Presto against a rival or
+// Optimal. Absolute levels are not claims (EXPERIMENTS.md: the comparisons
+// are the reproduction target). RTT tails are p99 unless the paper names
+// p99.9.
 std::vector<Row> make_rows() {
   const sim::Time us = sim::kMicrosecond;
   const std::vector<Variant> oversub3 = {scheme(Scheme::kEcmp),
@@ -176,7 +369,7 @@ std::vector<Row> make_rows() {
                    {loss, 10, 4, "loss %%"}},
        .cdf = "Figure 13: RTT, flowlet vs Presto",
        .footer =
-           [](const Points& p) {
+           [](const Points& p, double) {
              const double presto = p.value(rtt_p999, "Presto", 0);
              std::printf("\n99.9th percentile RTT ratio (flowlet / Presto): "
                          "100us=%.2fx 500us=%.2fx\n",
@@ -205,6 +398,130 @@ std::vector<Row> make_rows() {
                    {"Presto+ECMP"}},
                   {"shadow MACs have a better RTT distribution", rtt_p99,
                    "Presto", kAtMost, 1, {"Presto+ECMP"}, kAll, 6}}},
+      {.name = "fig15_synthetic_tput",
+       .title = "Figure 15: avg elephant throughput (Gbps), 16 hosts, Clos",
+       .base_seed = 2000, .seed_stride = 31, .variants = headline,
+       .replica = synthetic, .param = "workload",
+       .sweep = {kShuffle, kRandom, kStride, kBijection},
+       .workloads = {"Shuffle", "Random", "Stride", "Bijection"},
+       .keys = {{"workload", 10}}, .columns = {{tput, 10, 2}},
+       .claims = {{"Presto lands within 1-4% of Optimal on every workload",
+                   tput, "Presto", kAtLeast, 0.96, {"Optimal"}, kShuffle},
+                  {"Presto lands within 1-4% of Optimal on every workload",
+                   tput, "Presto", kAtLeast, 0.96, {"Optimal"}, kRandom},
+                  {"Presto lands within 1-4% of Optimal on every workload",
+                   tput, "Presto", kAtLeast, 0.96, {"Optimal"}, kStride, 9},
+                  {"Presto lands within 1-4% of Optimal on every workload",
+                   tput, "Presto", kAtLeast, 0.96, {"Optimal"}, kBijection,
+                   9},
+                  {"Presto improves on ECMP by 38-72% (non-shuffle)", tput,
+                   "Presto", kAtLeast, 1.38, {"ECMP"}, kRandom},
+                  {"Presto improves on ECMP by 38-72% (non-shuffle)", tput,
+                   "Presto", kAtLeast, 1.38, {"ECMP"}, kStride, 9},
+                  {"Presto improves on ECMP by 38-72% (non-shuffle)", tput,
+                   "Presto", kAtLeast, 1.38, {"ECMP"}, kBijection},
+                  {"Presto improves on MPTCP by 17-28% (non-shuffle)", tput,
+                   "Presto", kAtLeast, 1.17, {"MPTCP"}, kRandom, 9},
+                  {"Presto improves on MPTCP by 17-28% (non-shuffle)", tput,
+                   "Presto", kAtLeast, 1.17, {"MPTCP"}, kStride},
+                  {"Presto improves on MPTCP by 17-28% (non-shuffle)", tput,
+                   "Presto", kAtLeast, 1.17, {"MPTCP"}, kBijection}}},
+      {.name = "fig16_mice_fct",
+       .opt = {.measure = 500 * sim::kMillisecond, .mice = true},
+       .base_seed = 3000, .seed_stride = 13, .variants = headline,
+       .replica = mice_fct, .param = "workload",
+       .sweep = {kStride, kBijection, kShuffle},
+       .workloads = {"stride(8)", "random bijection", "shuffle"},
+       .footer =
+           [](const Points& p, double x) {
+             print_cdf(std::string("Figure 16: mice FCT, ") +
+                           workload_name(p.row, x),
+                       p, x, &MultiRun::fct_ms, {});
+             std::printf("mice RTOs:");
+             for (const Variant& v : p.row.variants) {
+               std::printf(" %s=%llu", v.name.c_str(),
+                           static_cast<unsigned long long>(
+                               p.at(v.name, x).mice_timeouts));
+             }
+             std::printf("\n");
+           },
+       .claims = {{"Presto's tail FCT tracks Optimal within ~350 us", fct_p999,
+                   "Presto", kAtMost, 1, {"Optimal"}, kStride, 10, 0.35},
+                  {"Presto's tail FCT tracks Optimal within ~350 us", fct_p999,
+                   "Presto", kAtMost, 1, {"Optimal"}, kBijection, 10, 0.35},
+                  {"ECMP's 99.9th percentile is ~7.5x worse", fct_p999,
+                   "Presto", kAtMost, 1 / 7.5, {"ECMP"}, kStride},
+                  {"ECMP's 99.9th percentile is ~7.5x worse", fct_p999,
+                   "Presto", kAtMost, 1 / 7.5, {"ECMP"}, kBijection},
+                  {"MPTCP suffers min-RTO (200 ms) timeouts", fct_p999,
+                   "Presto", kAtMost, 1, {"MPTCP"}, kStride},
+                  {"MPTCP suffers min-RTO (200 ms) timeouts", fct_p999,
+                   "Presto", kAtMost, 1, {"MPTCP"}, kBijection},
+                  {"under shuffle the receiver port dominates: ECMP and "
+                   "Presto within 10% of each other", fct_p999, "Presto",
+                   kAtMost, 1.10, {"ECMP"}, kShuffle}}},
+      // The trace's flows under 100 KB are the mice.
+      {.name = "table1_trace_fct",
+       .title = "Table 1: mice (<100 KB) FCT in trace-driven workload,",
+       .opt = {.measure = 1500 * sim::kMillisecond, .mice = true},
+       .base_seed = 7000, .seed_stride = 11,
+       .variants = {scheme(Scheme::kEcmp), scheme(Scheme::kOptimal),
+                    scheme(Scheme::kPresto)},
+       .replica = trace,
+       .footer =
+           [](const Points& p, double) {
+             print_normalized(p, {"Optimal", "Presto"});
+             std::printf("\nAvg elephant (>1 MB) throughput (Gbps): ECMP "
+                         "%.2f, Optimal %.2f, Presto %.2f\n",
+                         p.value(elephant_tput, "ECMP", 0),
+                         p.value(elephant_tput, "Optimal", 0),
+                         p.value(elephant_tput, "Presto", 0));
+             std::printf("(paper: Presto within 2%% of Optimal, >10%% over "
+                         "ECMP)\n");
+           },
+       .claims = {{"Presto cuts mice FCT vs ECMP by 9% at the 50th "
+                   "percentile", fct_p50, "Presto", kAtMost, 0.91, {"ECMP"},
+                   kAll, 11},
+                  {"Presto cuts mice FCT vs ECMP by 32% at the 90th "
+                   "percentile", fct_p90, "Presto", kAtMost, 0.68, {"ECMP"},
+                   kAll, 11},
+                  {"Presto cuts mice FCT vs ECMP by 56% at the 99th "
+                   "percentile", fct_p99, "Presto", kAtMost, 0.44, {"ECMP"},
+                   kAll, 11},
+                  {"Presto cuts mice FCT vs ECMP by 60% at the 99.9th "
+                   "percentile", fct_p999, "Presto", kAtMost, 0.40, {"ECMP"},
+                   kAll, 11},
+                  {"elephants: Presto within 2% of Optimal", elephant_tput,
+                   "Presto", kAtLeast, 0.98, {"Optimal"}, kAll, 11},
+                  {"elephants: Presto >10% over ECMP", elephant_tput,
+                   "Presto", kAtLeast, 1.10, {"ECMP"}}}},
+      {.name = "table2_north_south",
+       .title = "Table 2: east-west mice FCT with north-south cross traffic,",
+       .opt = {.measure = 500 * sim::kMillisecond, .mice = true},
+       .base_seed = 8000, .seed_stride = 17, .variants = headline,
+       .replica = north_south,
+       .footer =
+           [](const Points& p, double) {
+             print_normalized(p, {"Optimal", "Presto", "MPTCP"});
+             std::printf("\nAvg east-west throughput (Gbps): ECMP %.1f, "
+                         "MPTCP %.1f, Presto %.1f, Optimal %.1f\n",
+                         p.value(tput, "ECMP", 0), p.value(tput, "MPTCP", 0),
+                         p.value(tput, "Presto", 0),
+                         p.value(tput, "Optimal", 0));
+             std::printf("(paper: 5.7 / 7.4 / 8.2 / 8.9 Gbps)\n");
+           },
+       .claims = {{"east-west throughput: Presto 8.2 Gbps vs ECMP 5.7", tput,
+                   "Presto", kAtLeast, 8.2 / 5.7, {"ECMP"}, kAll, 12},
+                  {"east-west throughput: Presto 8.2 Gbps vs MPTCP 7.4", tput,
+                   "Presto", kAtLeast, 8.2 / 7.4, {"MPTCP"}},
+                  {"east-west throughput: Presto 8.2 Gbps vs Optimal 8.9",
+                   tput, "Presto", kAtLeast, 8.2 / 8.9, {"Optimal"}},
+                  {"Presto cuts tail mice FCT by ~86-87% vs ECMP", fct_p99,
+                   "Presto", kAtMost, 0.14, {"ECMP"}, kAll, 12},
+                  {"Presto cuts tail mice FCT by ~86-87% vs ECMP", fct_p999,
+                   "Presto", kAtMost, 0.14, {"ECMP"}},
+                  {"MPTCP hits min-RTO timeouts at the 99.9th percentile",
+                   fct_p999, "Presto", kAtMost, 1, {"MPTCP"}}}},
       {.name = "ablation_flowcell_size",
        .title = "Ablation: flowcell threshold sweep, stride(8)", .opt = kRtt,
        .variants = {flowcell(16), flowcell(32), flowcell(64), flowcell(128)},
@@ -225,7 +542,7 @@ std::vector<Row> make_rows() {
        .columns = {{tput, 10, 2, "tput Gbps"}, {fairness, 10, 3, "fairness"},
                    {loss, 10, 4, "loss %%"}},
        .footer =
-           [](const Points&) {
+           [](const Points&, double) {
              std::printf("\n(expected ordering: flowcells ~ line rate; "
                          "per-packet is\nbalanced but capped by per-packet "
                          "receive costs; per-flow\ncollides; flowlets sit "
@@ -267,12 +584,13 @@ std::vector<Row> make_rows() {
   };
 }
 
-/// Runs one point over the plan's seeds and merges the replicas. With a
-/// JsonReporter active the point carries telemetry from every layer and
-/// the fabric plane, and is recorded under the label set before the call.
-MultiRun run_point(ExperimentConfig cfg,
-                   const std::vector<workload::HostPair>& pairs,
-                   harness::RunOptions opt, const SeedPlan& plan, int point) {
+/// Runs one point of `row` at sweep value `x` over the plan's seeds and
+/// merges the replicas. With a JsonReporter active the point carries
+/// telemetry from every layer and the fabric plane, and is recorded under
+/// the label set before the call.
+MultiRun run_point(const Row& row, ExperimentConfig cfg,
+                   const std::vector<workload::HostPair>& pairs, double x,
+                   const SeedPlan& plan, int point) {
   JsonReporter* json = JsonReporter::active();
   if (json != nullptr) {
     cfg.telemetry.metrics = true;
@@ -287,14 +605,19 @@ MultiRun run_point(ExperimentConfig cfg,
     cfg.telemetry.timeseries = true;
     cfg.telemetry.span_sample_every = trace_span_every();
   }
+  RunOptions opt = row.opt;
   opt.warmup = scaled(opt.warmup, plan.time_scale);
   opt.measure = scaled(opt.measure, plan.time_scale);
   const harness::SweepOptions sweep{.seeds = plan.seeds,
+                                    .base_seed = row.base_seed,
+                                    .seed_stride = row.seed_stride,
                                     .threads = plan.threads};
   MultiRun agg = harness::run_sweep(
       cfg,
-      [&pairs, &opt](const ExperimentConfig& seeded) {
-        return harness::run_pairs(seeded, pairs, opt);
+      [&](const ExperimentConfig& seeded) {
+        return row.replica != nullptr
+                   ? row.replica(seeded, opt, x, plan.time_scale)
+                   : harness::run_pairs(seeded, pairs, opt);
       },
       sweep);
   if (json != nullptr) json->record(cfg, agg);
@@ -354,19 +677,23 @@ const Row* find_row(const std::string& name) {
   return nullptr;
 }
 
+const MultiRun& Points::at(const std::string& variant, double x) const {
+  const std::size_t nv = row.variants.size();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (row.variants[i % nv].name == variant && row.sweep[i / nv] == x) {
+      return runs[i];
+    }
+  }
+  throw std::invalid_argument(std::string(row.name) + " has no point " +
+                              variant + " at " + std::to_string(x));
+}
+
 double Points::value(Metric metric, const std::string& variant,
                      double x) const {
   if (variant == "Optimal" && row.fluid_optimal != nullptr) {
     return row.fluid_optimal(x);
   }
-  const std::size_t nv = row.variants.size();
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (row.variants[i % nv].name == variant && row.sweep[i / nv] == x) {
-      return metric(runs[i]);
-    }
-  }
-  throw std::invalid_argument(std::string(row.name) + " has no point " +
-                              variant + " at " + std::to_string(x));
+  return metric(at(variant, x));
 }
 
 Points run_row(const Row& row, const SeedPlan& plan) {
@@ -381,14 +708,19 @@ Points run_row(const Row& row, const SeedPlan& plan) {
     print_line(row, headers, {}, 0);
   }
   JsonReporter* json = JsonReporter::active();
-  for (double x : row.sweep) {
+  for (std::size_t xi = 0; xi < row.sweep.size(); ++xi) {
+    const double x = row.sweep[xi];
     std::vector<const MultiRun*> line;
     for (const Variant& v : row.variants) {
       ExperimentConfig cfg;
       cfg.scheme = v.scheme;
-      const std::vector<workload::HostPair> pairs = row.fabric(cfg, x);
+      const std::vector<workload::HostPair> pairs =
+          row.fabric != nullptr ? row.fabric(cfg, x)
+                                : std::vector<workload::HostPair>{};
       if (v.setup) v.setup(cfg);
-      if (json != nullptr && row.sweep.size() > 1) {
+      if (json != nullptr && !row.workloads.empty()) {
+        json->set_point(v.name + "/" + row.workloads[xi]);
+      } else if (json != nullptr && row.sweep.size() > 1) {
         json->set_point(v.name + "/" + row.param + "=" +
                             std::to_string(static_cast<unsigned>(x)),
                         {{row.param, x}});
@@ -396,30 +728,28 @@ Points run_row(const Row& row, const SeedPlan& plan) {
         json->set_point(v.name, swept ? JsonReporter::Params{{row.param, x}}
                                       : v.params);
       }
-      points.runs.push_back(run_point(cfg, pairs, row.opt, plan,
+      points.runs.push_back(run_point(row, cfg, pairs, x, plan,
                                       static_cast<int>(points.runs.size())));
       line.push_back(&points.runs.back());
       if (row.columns.empty() || line.size() < (swept ? nv : 1)) continue;
       std::vector<std::string> keys;
       for (const KeyColumn& k : row.keys) {
-        keys.push_back(swept            ? fixed(x * k.scale, k.precision)
-                       : v.key.empty() ? v.name
-                                       : v.key);
+        if (!swept) {
+          keys.push_back(v.key.empty() ? v.name : v.key);
+        } else if (!row.workloads.empty()) {
+          keys.push_back(row.workloads[xi]);
+        } else {
+          keys.push_back(fixed(x * k.scale, k.precision));
+        }
       }
       print_line(row, keys, line, x);
       line.clear();
     }
-  }
-  if (row.cdf != nullptr) {
-    std::vector<std::pair<std::string, const stats::DDSketch*>> series;
-    for (std::size_t i = 0; i < points.runs.size(); ++i) {
-      series.emplace_back(row.cdf_names.empty() ? row.variants[i % nv].name
-                                                : row.cdf_names[i],
-                          &points.runs[i].rtt_ms);
+    if (row.cdf != nullptr) {
+      print_cdf(row.cdf, points, x, &MultiRun::rtt_ms, row.cdf_names);
     }
-    print_cdf_table(row.cdf, "ms", series);
+    if (row.footer) row.footer(points, x);
   }
-  if (row.footer) row.footer(points);
   return points;
 }
 
@@ -436,12 +766,17 @@ std::string check_claim(const Claim& claim, const Points& points) {
     const double a = points.value(claim.metric, claim.a, x);
     for (const std::string& b : than) {
       const double vb = points.value(claim.metric, b, x);
-      if (claim.at_least ? a >= claim.k * vb : a <= claim.k * vb) continue;
+      const double bound = claim.k * vb + claim.margin;
+      if (claim.at_least ? a >= bound : a <= bound) continue;
+      char at[32];
+      std::snprintf(at, sizeof at, "%g", x);
+      const char* name = workload_name(row, x);
       char buf[256];
-      std::snprintf(buf, sizeof buf, "%s=%g: %s %.4g, %s %.4g x %s %.4g",
-                    row.param != nullptr ? row.param : "point", x, claim.a, a,
+      std::snprintf(buf, sizeof buf, "%s=%s: %s %.4g, %s %.4g x %s %.4g + %g",
+                    row.param != nullptr ? row.param : "point",
+                    name != nullptr ? name : at, claim.a, a,
                     claim.at_least ? "below" : "above", claim.k, b.c_str(),
-                    vb);
+                    vb, claim.margin);
       return buf;
     }
   }

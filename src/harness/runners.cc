@@ -1,6 +1,9 @@
 #include "harness/runners.h"
 
+#include <map>
 #include <memory>
+
+#include "workload/trace_dist.h"
 
 namespace presto::harness {
 namespace {
@@ -101,13 +104,7 @@ RunResult run_pairs(const ExperimentConfig& cfg,
                         : 100.0 * static_cast<double>(drop) /
                               static_cast<double>(enq + drop);
   probes.collect(r);
-  r.executed_events = ex.sim().executed();
-  r.telemetry = ex.telemetry_snapshot();
-  r.fabric_health_json = ex.fabric_health_json();
-  if (ex.flight_recorder_enabled()) {
-    r.trace_json = ex.export_trace_json();
-    r.timeseries_csv = ex.export_timeseries_csv();
-  }
+  collect_end_of_run(ex, r);
   return r;
 }
 
@@ -185,6 +182,66 @@ RunResult run_shuffle(const ExperimentConfig& cfg,
                         : 100.0 * static_cast<double>(drop) /
                               static_cast<double>(enq + drop);
   probes.collect(r);
+  collect_end_of_run(ex, r);
+  return r;
+}
+
+RunResult run_trace(const ExperimentConfig& cfg, sim::Time warmup,
+                    sim::Time measure, sim::Time drain) {
+  Experiment ex(cfg);
+  sim::Rng rng = ex.fork_rng();
+  const workload::TraceFlowDist dist(10.0);
+  const double mean_gap_s = dist.mean_bytes() * 8.0 / 1.2e9;
+  const sim::Time stop = warmup + measure;
+  const auto n = static_cast<std::uint32_t>(ex.servers().size());
+
+  RunResult r;
+  stats::Samples elephants;
+  std::map<std::pair<net::HostId, net::HostId>, workload::RpcChannel*>
+      channels;
+  std::vector<sim::Rng> host_rngs;
+  host_rngs.reserve(n);
+  // One Poisson arrival process per server, each on its own RNG stream.
+  std::function<void(net::HostId, sim::Rng&)> arrive =
+      [&](net::HostId src, sim::Rng& host_rng) {
+        if (ex.sim().now() >= stop) return;
+        net::HostId dst;
+        do {
+          dst = static_cast<net::HostId>(host_rng.below(n));
+        } while (dst == src || ex.logical_pod(dst) == ex.logical_pod(src));
+        const std::uint64_t bytes = dist.sample(host_rng);
+        const sim::Time issued = ex.sim().now();
+        workload::RpcChannel*& channel = channels[{src, dst}];
+        if (channel == nullptr) channel = &ex.open_rpc(src, dst);
+        channel->issue(bytes, [&r, &elephants, warmup, issued,
+                               bytes](sim::Time fct) {
+          if (issued < warmup) return;
+          if (bytes < 100'000) {
+            r.fct_ms.add(sim::to_millis(fct));
+          } else if (bytes > 1'000'000) {
+            elephants.add(8.0 * static_cast<double>(bytes) /
+                          static_cast<double>(fct));
+          }
+        });
+        ex.sim().schedule(
+            static_cast<sim::Time>(host_rng.exponential(mean_gap_s) * 1e9),
+            [&arrive, src, &host_rng] { arrive(src, host_rng); });
+      };
+  for (net::HostId src : ex.servers()) {
+    sim::Rng& host_rng = host_rngs.emplace_back(rng.fork());
+    ex.sim().schedule(
+        static_cast<sim::Time>(rng.exponential(mean_gap_s) * 1e9),
+        [&arrive, src, &host_rng] { arrive(src, host_rng); });
+  }
+  ex.sim().run_until(stop + drain);
+
+  r.per_flow_gbps = elephants.values();
+  r.avg_tput_gbps = elephants.mean();
+  collect_end_of_run(ex, r);
+  return r;
+}
+
+void collect_end_of_run(Experiment& ex, RunResult& r) {
   r.executed_events = ex.sim().executed();
   r.telemetry = ex.telemetry_snapshot();
   r.fabric_health_json = ex.fabric_health_json();
@@ -192,7 +249,6 @@ RunResult run_shuffle(const ExperimentConfig& cfg,
     r.trace_json = ex.export_trace_json();
     r.timeseries_csv = ex.export_timeseries_csv();
   }
-  return r;
 }
 
 }  // namespace presto::harness

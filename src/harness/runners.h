@@ -62,4 +62,20 @@ RunResult run_pairs(const ExperimentConfig& cfg,
 RunResult run_shuffle(const ExperimentConfig& cfg,
                       std::uint64_t transfer_bytes, const RunOptions& opt);
 
+/// Trace-driven workload (Table 1, §6): every server draws flow sizes from
+/// workload::TraceFlowDist (x10) with Poisson gaps for 1.2 Gbps offered
+/// load, and sends each flow to a random server in another rack over a
+/// long-lived RPC channel per (src, dst) pair, so mice can queue behind
+/// elephants. Flows start until warmup + measure and the run goes on for
+/// `drain`; flows issued from `warmup` on are measured: mice (<100 KB) FCTs
+/// in fct_ms, elephant (>1 MB) throughputs (Gbps) in per_flow_gbps and
+/// their mean in avg_tput_gbps.
+RunResult run_trace(const ExperimentConfig& cfg, sim::Time warmup,
+                    sim::Time measure, sim::Time drain);
+
+/// Fills what every runner reports once its run ends: executed events,
+/// telemetry, the fabric_health document and, with the flight recorder
+/// on, its trace and time-series exports.
+void collect_end_of_run(Experiment& ex, RunResult& r);
+
 }  // namespace presto::harness

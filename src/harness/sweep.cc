@@ -19,16 +19,15 @@ unsigned resolve_threads(unsigned requested, int n) {
 
 }  // namespace
 
-std::vector<RunResult> run_indexed(int n, unsigned threads,
-                                   const std::function<RunResult(int)>& fn) {
-  if (n <= 0) return {};
-  std::vector<RunResult> results(static_cast<std::size_t>(n));
+void for_each_index(int n, unsigned threads,
+                    const std::function<void(int)>& body) {
+  if (n <= 0) return;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   std::atomic<int> next{0};
   auto work = [&] {
     for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       try {
-        results[static_cast<std::size_t>(i)] = fn(i);
+        body(i);
       } catch (...) {
         errors[static_cast<std::size_t>(i)] = std::current_exception();
       }
@@ -47,7 +46,6 @@ std::vector<RunResult> run_indexed(int n, unsigned threads,
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
-  return results;
 }
 
 SweepResult run_sweep(const ExperimentConfig& base, const SweepRunFn& run,

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "harness/runners.h"
@@ -45,11 +46,25 @@ struct SweepResult {
 /// One seeded replica: receives the config with cfg.seed already set.
 using SweepRunFn = std::function<RunResult(const ExperimentConfig&)>;
 
-/// Runs fn(i) for i in [0, n) on `threads` workers; results land in index
-/// order. threads<=1 (or n<=1) runs inline. The first failing index's
-/// exception is rethrown on the calling thread after all workers join.
-std::vector<RunResult> run_indexed(int n, unsigned threads,
-                                   const std::function<RunResult(int)>& fn);
+/// Calls body(i) for i in [0, n) on `threads` workers. threads<=1 (or
+/// n<=1) runs inline. The first failing index's exception is rethrown on
+/// the calling thread after all workers join.
+void for_each_index(int n, unsigned threads,
+                    const std::function<void(int)>& body);
+
+/// Runs fn(i) for i in [0, n) like for_each_index and returns what each
+/// call returned, in index order.
+template <typename Fn>
+std::vector<std::invoke_result_t<Fn&, int>> run_indexed(int n,
+                                                        unsigned threads,
+                                                        Fn&& fn) {
+  std::vector<std::invoke_result_t<Fn&, int>> results(
+      static_cast<std::size_t>(n > 0 ? n : 0));
+  for_each_index(n, threads, [&](int i) {
+    results[static_cast<std::size_t>(i)] = fn(i);
+  });
+  return results;
+}
 
 /// Runs `run` once per seed replica of `base` and merges the results.
 SweepResult run_sweep(const ExperimentConfig& base, const SweepRunFn& run,

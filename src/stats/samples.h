@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -24,7 +25,7 @@ class Samples {
     if (values_.size() >= budget_) {
       if (dropped_ == 0) warn_budget();
       ++dropped_;
-      ++total_dropped_;
+      total_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     values_.push_back(v);
@@ -47,9 +48,14 @@ class Samples {
   /// Values rejected by *any* collector in this process — lets reporters
   /// (bench JSON "warnings") flag truncated statistics without having a
   /// handle on every Samples instance. merge() does not re-count: only the
-  /// original rejection increments the total.
-  static std::uint64_t total_dropped() { return total_dropped_; }
-  static void reset_total_dropped() { total_dropped_ = 0; }
+  /// original rejection increments the total. Collectors on different
+  /// sweep threads share it, so it is a (relaxed) atomic.
+  static std::uint64_t total_dropped() {
+    return total_dropped_.load(std::memory_order_relaxed);
+  }
+  static void reset_total_dropped() {
+    total_dropped_.store(0, std::memory_order_relaxed);
+  }
 
   static std::size_t default_budget();
 
@@ -116,7 +122,7 @@ class Samples {
   std::size_t budget_ = default_budget();
   std::uint64_t dropped_ = 0;
 
-  static inline std::uint64_t total_dropped_ = 0;
+  static inline std::atomic<std::uint64_t> total_dropped_{0};
 };
 
 /// Jain's fairness index over per-flow throughputs (§4): (sum x)^2 / (n * sum x^2).

@@ -14,16 +14,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "harness/runners.h"
 #include "harness/sweep.h"
 #include "telemetry/timeseries.h"
-#include "workload/trace_dist.h"
 
 namespace presto::testing {
 
@@ -170,79 +165,24 @@ inline harness::RunResult golden_fig19_run() {
   return r;
 }
 
-/// Miniature Table 1: the trace-driven workload loop from
-/// bench/table1_trace_fct.cc (long-lived per-pair RPC channels, empirical
-/// flow sizes, Poisson arrivals, cross-rack receivers) shrunk to one seed
-/// and ~25 ms of measured time. Digest covers the mice-FCT sample stream,
-/// per-elephant throughput, telemetry counters, and the executed-event
-/// count — the full RNG draw order of the arrival processes. The scheme is
-/// a parameter so golden_scheme_test can pin one digest per registry rival;
-/// the default keeps the original Presto digest byte-identical.
+/// Miniature Table 1: harness::run_trace (the table1_trace_fct row's
+/// workload) shrunk to one seed and ~25 ms of measured time. Digest covers
+/// the mice-FCT sample stream, per-elephant throughput, telemetry counters,
+/// and the executed-event count — the full RNG draw order of the arrival
+/// processes. The scheme is a parameter so golden_scheme_test can pin one
+/// digest per registry rival; the default keeps the original Presto digest
+/// byte-identical.
 inline harness::RunResult golden_table1_run(
     harness::Scheme scheme = harness::Scheme::kPresto) {
   harness::ExperimentConfig cfg;
   cfg.scheme = scheme;
   cfg.seed = 7013;
   cfg.telemetry.metrics = true;
-  harness::Experiment ex(cfg);
-  sim::Rng rng = ex.fork_rng();
-  workload::TraceFlowDist dist(10.0);
-
-  std::map<std::pair<net::HostId, net::HostId>, workload::RpcChannel*> chans;
-  auto channel = [&](net::HostId s, net::HostId d) -> workload::RpcChannel& {
-    auto key = std::make_pair(s, d);
-    auto it = chans.find(key);
-    if (it == chans.end()) it = chans.emplace(key, &ex.open_rpc(s, d)).first;
-    return *it->second;
-  };
-
-  auto mice = std::make_shared<stats::Samples>();
-  auto elephants = std::make_shared<stats::Samples>();
-  const double target_load_bps = 1.2e9;
-  const double mean_gap_s = dist.mean_bytes() * 8.0 / target_load_bps;
-  const sim::Time warmup = 5 * sim::kMillisecond;
-  const sim::Time stop = warmup + 25 * sim::kMillisecond;
-  for (net::HostId src : ex.servers()) {
-    auto schedule_next = std::make_shared<std::function<void()>>();
-    auto host_rng = std::make_shared<sim::Rng>(rng.fork());
-    *schedule_next = [&ex, &channel, &dist, src, schedule_next, host_rng,
-                      stop, warmup, mean_gap_s, mice, elephants]() {
-      if (ex.sim().now() >= stop) return;
-      net::HostId dst;
-      do {
-        dst = static_cast<net::HostId>(host_rng->below(16));
-      } while (dst == src || ex.logical_pod(dst) == ex.logical_pod(src));
-      const std::uint64_t bytes = dist.sample(*host_rng);
-      const sim::Time issued = ex.sim().now();
-      channel(src, dst).issue(bytes, [=](sim::Time fct) {
-        if (issued < warmup) return;
-        if (bytes < 100'000) {
-          mice->add(sim::to_millis(fct));
-        } else if (bytes > 1'000'000) {
-          elephants->add(8.0 * static_cast<double>(bytes) /
-                         static_cast<double>(fct));
-        }
-      });
-      ex.sim().schedule(
-          static_cast<sim::Time>(host_rng->exponential(mean_gap_s) * 1e9),
-          [schedule_next] { (*schedule_next)(); });
-    };
-    ex.sim().schedule(
-        static_cast<sim::Time>(rng.exponential(mean_gap_s) * 1e9),
-        [schedule_next] { (*schedule_next)(); });
-  }
-  ex.sim().run_until(stop + 100 * sim::kMillisecond);  // drain
-
-  harness::RunResult r;
-  r.fct_ms = stats::DDSketch::of(*mice);
-  r.per_flow_gbps = elephants->values();
-  r.avg_tput_gbps = elephants->mean();
-  r.executed_events = ex.sim().executed();
-  r.telemetry = ex.telemetry_snapshot();
-  return r;
+  return harness::run_trace(cfg, 5 * sim::kMillisecond,
+                            25 * sim::kMillisecond, 100 * sim::kMillisecond);
 }
 
-/// Miniature Figure 16: stride(8) mice-FCT run from bench/fig16_mice_fct.cc
+/// Miniature Figure 16: the fig16_mice_fct row's stride(8) mice-FCT run
 /// with one seed and a short window. Digest covers the mice FCT samples,
 /// timeout counter, telemetry, and executed events. Scheme parameterized
 /// like golden_table1_run; default = the original Presto digest.

@@ -1,6 +1,8 @@
 // Stats tests: percentiles, fairness, reordering metrics.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "stats/reorder_metrics.h"
 #include "stats/samples.h"
 
@@ -97,6 +99,25 @@ TEST(Samples, TotalDroppedAggregatesAcrossCollectorsWithoutMergeDoubleCount) {
   a.merge(b);
   EXPECT_EQ(a.dropped(), 2u);
   EXPECT_EQ(Samples::total_dropped(), 2u);
+  Samples::reset_total_dropped();
+}
+
+// Sweep replicas fill their own collectors on worker threads, and every
+// over-budget add bumps the one process-wide total (a data race under TSan
+// while it was a plain integer).
+TEST(Samples, TotalDroppedCountsDropsFromConcurrentCollectors) {
+  Samples::reset_total_dropped();
+  constexpr int kAdds = 20000;
+  auto fill = [] {
+    Samples s;
+    s.set_budget(1);
+    for (int i = 0; i < kAdds; ++i) s.add(i);
+  };
+  std::thread a(fill);
+  std::thread b(fill);
+  a.join();
+  b.join();
+  EXPECT_EQ(Samples::total_dropped(), 2u * (kAdds - 1));
   Samples::reset_total_dropped();
 }
 

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "harness/sweep.h"
 
@@ -42,6 +44,29 @@ TEST(RunIndexed, PropagatesFirstFailingIndex) {
 TEST(RunIndexed, ZeroAndOneItemsAreFine) {
   EXPECT_TRUE(run_indexed(0, 4, [](int) { return RunResult{}; }).empty());
   EXPECT_EQ(run_indexed(1, 4, [](int) { return RunResult{}; }).size(), 1u);
+}
+
+// A replica returns its own per-seed type: results still land in index
+// order, and a failing index's exception still reaches the caller.
+TEST(RunIndexed, ReturnsWhatTheReplicaReturns) {
+  struct Stages {
+    std::vector<double> gbps;
+    std::string name;
+  };
+  const std::vector<Stages> runs = run_indexed(6, 3, [](int i) {
+    return Stages{{i * 1.0, i * 2.0}, "seed" + std::to_string(i)};
+  });
+  ASSERT_EQ(runs.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(runs[i].gbps, (std::vector<double>{i * 1.0, i * 2.0}));
+    EXPECT_EQ(runs[i].name, "seed" + std::to_string(i));
+  }
+  EXPECT_THROW(run_indexed(6, 3,
+                           [](int i) -> Stages {
+                             if (i == 4) throw std::logic_error("stage");
+                             return {};
+                           }),
+               std::logic_error);
 }
 
 // A synthetic replica: a deterministic function of the seed, cheap enough to
