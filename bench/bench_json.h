@@ -8,10 +8,10 @@
 //
 // Output: <outdir>/<bench>.json with schema presto.bench v1:
 //   { "schema", "schema_version", "bench", "seeds", "time_scale",
-//     "warnings": { "samples_dropped", "sketch_collapsed" },
+//     "warnings": { "sketch_collapsed" },
 //     "points": [ { "label", "scheme", "params": {...},
 //                   "metrics": {..., "rtt_ms": {...}, "fct_ms": {...}},
-//                   "telemetry": {counters/gauges/histograms/trace} } ] }
+//                   "telemetry": {counters/gauges/histograms} } ] }
 #pragma once
 
 #include <cstdio>
@@ -23,7 +23,6 @@
 
 #include "harness/sweep.h"
 #include "stats/ddsketch.h"
-#include "stats/samples.h"
 #include "telemetry/json.h"
 
 namespace presto::bench {
@@ -187,16 +186,14 @@ class JsonReporter {
     w.key("time_scale");
     w.value(doc_time_scale_);
     // Statistics-quality warnings: nonzero values mean some reported
-    // numbers rest on truncated or resolution-degraded sample streams
-    // (Samples budget exhaustion; DDSketch low-end store collapse).
+    // numbers rest on resolution-degraded sample streams (DDSketch low-end
+    // store collapse).
     std::uint64_t sketch_collapsed = 0;
     for (const Point& p : points_) {
       sketch_collapsed += p.rtt_ms.collapsed() + p.fct_ms.collapsed();
     }
     w.key("warnings");
     w.begin_object();
-    w.key("samples_dropped");
-    w.value(stats::Samples::total_dropped());
     w.key("sketch_collapsed");
     w.value(sketch_collapsed);
     w.end_object();

@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
         const double ms = sim::to_millis(fct);
         if (issued >= warmup && issued < tl.failed) {
           r.symmetry.add(ms);
-        } else if (issued >= tl.failover + 5 * sim::kMillisecond &&
+        } else if (issued >= tl.failover + scaled(5 * sim::kMillisecond) &&
                    issued < tl.weighted) {
           r.failover.add(ms);
-        } else if (issued >= tl.weighted + 10 * sim::kMillisecond) {
+        } else if (issued >= tl.weighted + scaled(10 * sim::kMillisecond)) {
           r.weighted.add(ms);
         }
       });

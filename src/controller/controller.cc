@@ -427,14 +427,7 @@ bool Controller::tree_alive(const Tree& t, net::SwitchId src_leaf,
 }
 
 void Controller::push_weighted_schedules() {
-  if (telem_ != nullptr) {
-    telem_->reweight_pushes->inc();
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(topo_.sim().now(),
-                             telemetry::EventType::kControllerReweight, 0, -1,
-                             failed_.size(), trees_.size());
-    }
-  }
+  if (telem_ != nullptr) telem_->reweight_pushes->inc();
   const std::uint64_t key = push_memo_key();
   if (has_push_memo_ && key == push_memo_key_) {
     // The schedules are a pure function of (failure set, weights): equal

@@ -70,14 +70,7 @@ void FlowcellEngine::on_segment(net::Packet& seg) {
           if (k > 0) {
             st.cursor += k;  // resume round robin after the detour
             slot = cand;
-            if (telem_ != nullptr) {
-              telem_->suspicion_skips->inc(k);
-              if (telem_->tracer != nullptr) {
-                telem_->tracer->record(
-                    now(), telemetry::EventType::kPathSuspicion,
-                    seg.flow.src_host, -1, st.flowcell_id, cand);
-              }
-            }
+            if (telem_ != nullptr) telem_->suspicion_skips->inc(k);
           }
           break;
         }
@@ -99,11 +92,6 @@ void FlowcellEngine::on_segment(net::Packet& seg) {
     note_dispatched_cell(st, st.flowcell_id, seg.seq, seg.dst_mac);
     if (telem_ != nullptr) {
       telem_->label_index->add(static_cast<double>(slot));
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(now(),
-                               telemetry::EventType::kFlowcellDispatch,
-                               seg.flow.src_host, -1, st.flowcell_id, slot);
-      }
     }
   }
 }
@@ -195,13 +183,7 @@ void FlowcellEngine::on_loss_signal(const net::FlowKey& flow,
   if (label == net::kInvalidMac) return;
   blame_label(label, timeout);
   st.last_blamed = label;
-  if (telem_ != nullptr) {
-    telem_->suspicion_signals->inc();
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(now(), telemetry::EventType::kPathSuspicion,
-                             flow.src_host, -1, timeout ? 1 : 0, label);
-    }
-  }
+  if (telem_ != nullptr) telem_->suspicion_signals->inc();
 }
 
 void FlowcellEngine::on_recovery_signal(const net::FlowKey& flow) {

@@ -27,11 +27,11 @@ void FaultInjector::arm_event(const FaultEvent& ev) {
   auto& sim = topo_.sim();
   switch (ev.kind) {
     case FaultKind::kLinkDown:
-      note(ev.at, ev.kind, ev.leaf, ev.spine);
+      note(ev.at, ev.kind);
       ctl_.schedule_link_failure(ev.leaf, ev.spine, ev.group, ev.at);
       break;
     case FaultKind::kLinkUp:
-      note(ev.at, ev.kind, ev.leaf, ev.spine);
+      note(ev.at, ev.kind);
       ctl_.schedule_link_restore(ev.leaf, ev.spine, ev.group, ev.at);
       break;
     case FaultKind::kLinkFlap: {
@@ -41,34 +41,34 @@ void FaultInjector::arm_event(const FaultEvent& ev) {
           static_cast<double>(ev.period) * ev.duty);
       for (std::uint32_t i = 0; i < ev.count; ++i) {
         const sim::Time down_at = ev.at + static_cast<sim::Time>(i) * ev.period;
-        note(down_at, FaultKind::kLinkDown, ev.leaf, ev.spine);
+        note(down_at, FaultKind::kLinkDown);
         ctl_.schedule_link_failure(ev.leaf, ev.spine, ev.group, down_at);
-        note(down_at + up_offset, FaultKind::kLinkUp, ev.leaf, ev.spine);
+        note(down_at + up_offset, FaultKind::kLinkUp);
         ctl_.schedule_link_restore(ev.leaf, ev.spine, ev.group,
                                    down_at + up_offset);
       }
       break;
     }
     case FaultKind::kLinkDegrade:
-      note(ev.at, ev.kind, ev.leaf, ev.spine);
+      note(ev.at, ev.kind);
       sim.schedule_at(ev.at, [this, ev] { apply_degrade(ev, true); });
       break;
     case FaultKind::kLinkHeal:
-      note(ev.at, ev.kind, ev.leaf, ev.spine);
+      note(ev.at, ev.kind);
       sim.schedule_at(ev.at, [this, ev] { apply_degrade(ev, false); });
       break;
     case FaultKind::kSwitchDown:
-      note(ev.at, ev.kind, ev.sw, 0);
+      note(ev.at, ev.kind);
       sim.schedule_at(ev.at,
                       [this, sw = ev.sw] { topo_.set_switch_down(sw, true); });
       break;
     case FaultKind::kSwitchUp:
-      note(ev.at, ev.kind, ev.sw, 0);
+      note(ev.at, ev.kind);
       sim.schedule_at(ev.at,
                       [this, sw = ev.sw] { topo_.set_switch_down(sw, false); });
       break;
     case FaultKind::kCtlFault:
-      note(ev.at, ev.kind, 0, static_cast<std::uint64_t>(ev.ctl_delay));
+      note(ev.at, ev.kind);
       sim.schedule_at(ev.at, [this, ev] {
         controller::Controller::ControlFault fault;
         fault.extra_push_delay = ev.ctl_delay;
@@ -79,15 +79,14 @@ void FaultInjector::arm_event(const FaultEvent& ev) {
       });
       break;
     case FaultKind::kCtlClear:
-      note(ev.at, ev.kind, 0, 0);
+      note(ev.at, ev.kind);
       sim.schedule_at(ev.at, [this] { ctl_.clear_control_fault(); });
       break;
   }
 }
 
-void FaultInjector::note(sim::Time at, FaultKind kind, std::uint32_t node,
-                         std::uint64_t detail) {
-  topo_.sim().schedule_at(at, [this, at, kind, node, detail] {
+void FaultInjector::note(sim::Time at, FaultKind kind) {
+  topo_.sim().schedule_at(at, [this, kind] {
     if (telem_ == nullptr) return;
     telem_->events->inc();
     switch (kind) {
@@ -108,10 +107,6 @@ void FaultInjector::note(sim::Time at, FaultKind kind, std::uint32_t node,
       case FaultKind::kCtlClear:
         telem_->control_events->inc();
         break;
-    }
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(at, telemetry::EventType::kFaultEvent, node, -1,
-                             static_cast<std::uint64_t>(kind), detail);
     }
   });
 }

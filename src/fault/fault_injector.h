@@ -54,9 +54,8 @@ class FaultInjector {
 
  private:
   void arm_event(const FaultEvent& ev);
-  /// Counts + traces one fired fault action at its fire time.
-  void note(sim::Time at, FaultKind kind, std::uint32_t node,
-            std::uint64_t detail);
+  /// Counts one fired fault action at its fire time.
+  void note(sim::Time at, FaultKind kind);
   /// Installs (or clears) the loss model on both directions of a link.
   void apply_degrade(const FaultEvent& ev, bool install);
 

@@ -13,8 +13,7 @@ const char* scheme_name(Scheme s) { return lb::scheme_display_name(s); }
 Experiment::Experiment(ExperimentConfig cfg)
     : cfg_(std::move(cfg)), rng_(cfg_.seed) {
   if (cfg_.control_loop.enabled) cfg_.telemetry.fabric.monitors = true;
-  if (cfg_.telemetry.metrics || cfg_.telemetry.trace ||
-      cfg_.telemetry.flight_recorder()) {
+  if (cfg_.telemetry.metrics || cfg_.telemetry.flight_recorder()) {
     telem_ = std::make_unique<telemetry::Session>(cfg_.telemetry, sim_);
     cfg_.mptcp.tcp.telemetry = telem_->tcp_probes();
   }
@@ -72,8 +71,7 @@ Experiment::Experiment(ExperimentConfig cfg)
   ctl_ = std::make_unique<controller::Controller>(*topo_, cfg_.controller);
   if (telem_ != nullptr) {
     for (net::SwitchId s = 0; s < topo_->switch_count(); ++s) {
-      topo_->get_switch(s).observe(net::ObserverRole::kTelemetry,
-                                   telem_->net_observer());
+      telem_->observe(topo_->get_switch(s));
     }
     ctl_->attach_telemetry(telem_->controller_probes());
   }
@@ -221,8 +219,7 @@ void Experiment::build_hosts() {
       // Flight-recorder runs also observe the host uplink (the first hop
       // of every span); kept off otherwise so metrics-only snapshots match
       // their pre-flight-recorder values.
-      host_ptr->uplink().set_observer(net::ObserverRole::kTelemetry,
-                                      telem_->net_observer());
+      telem_->observe(host_ptr->uplink());
     }
     if (server) {
       host_ptr->set_lb(make_lb(h));

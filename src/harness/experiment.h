@@ -173,11 +173,8 @@ class Experiment {
   };
   Counters switch_counters() const;
 
-  /// Null unless cfg.telemetry enabled metrics or tracing.
+  /// Null unless cfg.telemetry enabled metrics or the flight recorder.
   telemetry::Session* telemetry() { return telem_.get(); }
-  telemetry::Tracer* tracer() {
-    return telem_ != nullptr ? telem_->tracer() : nullptr;
-  }
   /// Null unless cfg.telemetry.timeseries.
   telemetry::TimeSeriesSampler* sampler() {
     return telem_ != nullptr ? telem_->sampler() : nullptr;
@@ -197,7 +194,7 @@ class Experiment {
   /// Renders the sampled time series as CSV (empty when sampling is off).
   std::string export_timeseries_csv();
   /// Publishes end-of-run derived metrics (flowcells per flow) and returns
-  /// the merged registry+trace snapshot. Empty when telemetry is disabled.
+  /// the session's snapshot. Empty when telemetry is disabled.
   /// Safe to call repeatedly; derived metrics are published once.
   telemetry::Snapshot telemetry_snapshot();
 

@@ -78,8 +78,7 @@ bool TxPort::loss_model_eats(const Packet& p) {
 void TxPort::drop(const Packet& p, DropCause cause) {
   ++counters_.dropped_packets;
   counters_.dropped_bytes += p.buffer_bytes();
-  if (cause == DropCause::kLossModel) ++counters_.loss_model_drops;
-  if (cause == DropCause::kCorrupt) ++counters_.corrupt_drops;
+  ++counters_.drops[static_cast<std::size_t>(counted_cause(cause))];
   for (WireTap* o : observers_) o->on_drop(node_, id_, p, cause);
 }
 

@@ -6,6 +6,7 @@
 // frame to the attached peer after the propagation delay.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -31,14 +32,27 @@ struct LinkConfig {
 };
 
 /// Per-port counters (the paper reads loss from switch counters; see §4).
+/// The telemetry registry's `net.port.*` counters are these, summed over
+/// the observed ports when a snapshot is taken.
 struct PortCounters {
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;
   std::uint64_t enqueued_packets = 0;
   std::uint64_t dropped_packets = 0;
   std::uint64_t dropped_bytes = 0;
-  std::uint64_t loss_model_drops = 0;  ///< eaten by a degraded-link model
-  std::uint64_t corrupt_drops = 0;     ///< random corruption (FCS fail)
+  /// Drops by counted_cause(); the kNoRoute slot stays 0 (switches count
+  /// those, since no port is chosen).
+  std::array<std::uint64_t, kCountedDropCauses> drops{};
+
+  PortCounters& operator+=(const PortCounters& o) {
+    tx_packets += o.tx_packets;
+    tx_bytes += o.tx_bytes;
+    enqueued_packets += o.enqueued_packets;
+    dropped_packets += o.dropped_packets;
+    dropped_bytes += o.dropped_bytes;
+    for (std::size_t i = 0; i < drops.size(); ++i) drops[i] += o.drops[i];
+    return *this;
+  }
 };
 
 /// Degraded-link model: Gilbert–Elliott two-state burst loss plus an

@@ -41,14 +41,7 @@ PortId Switch::apply_failover(PortId out) const {
 
 PortCounters Switch::total_counters() const {
   PortCounters sum;
-  for (const auto& port : ports_) {
-    const PortCounters& c = port->counters();
-    sum.tx_packets += c.tx_packets;
-    sum.tx_bytes += c.tx_bytes;
-    sum.enqueued_packets += c.enqueued_packets;
-    sum.dropped_packets += c.dropped_packets;
-    sum.dropped_bytes += c.dropped_bytes;
-  }
+  for (const auto& port : ports_) sum += port->counters();
   return sum;
 }
 

@@ -27,10 +27,9 @@ namespace presto::net {
 inline constexpr std::uint32_t kHostNodeBit = 0x8000'0000u;
 
 /// Why a frame ceased to exist. The first kCountedDropCauses values are the
-/// causes telemetry counts; their numbering is the Tracer kDrop operand and
-/// the fabric PortReport::drops index, so it is pinned. The causes after
-/// them refine (kLinkDownTx) or extend (kHostRing) that set for the
-/// checkers.
+/// causes telemetry counts; their numbering indexes PortCounters::drops and
+/// the fabric PortReport::drops, so it is pinned. The causes after them
+/// refine (kLinkDownTx) or extend (kHostRing) that set for the checkers.
 enum class DropCause : std::uint8_t {
   kQueueFull = 0,   ///< Drop-tail: queue byte cap exceeded at enqueue.
   kLinkDown = 1,    ///< Port down (or unconnected) at enqueue time.
@@ -44,11 +43,11 @@ enum class DropCause : std::uint8_t {
 /// The enum's earlier name, still spelled by perfbench's forwarding tap.
 using TapDropCause = DropCause;
 
-/// Causes with a telemetry counter: [0, kCountedDropCauses).
+/// Causes with a counter: [0, kCountedDropCauses).
 inline constexpr std::size_t kCountedDropCauses = 5;
 
-/// The cause as counters, traces and fabric reports count it: a frame lost
-/// because its port went down while it was queued counts as link_down.
+/// The cause as counters and fabric reports count it: a frame lost because
+/// its port went down while it was queued counts as link_down.
 constexpr DropCause counted_cause(DropCause c) {
   return c == DropCause::kLinkDownTx ? DropCause::kLinkDown : c;
 }
@@ -115,7 +114,7 @@ class WireTap {
 enum class ObserverRole : std::uint8_t {
   kMonitor,    ///< In-fabric telemetry monitor (telemetry/fabric).
   kChecker,    ///< Invariant checker (src/check) or a tap in front of it.
-  kTelemetry,  ///< Telemetry session: counters, traces, spans.
+  kTelemetry,  ///< Telemetry session: queue depth, spans, label flight.
 };
 inline constexpr std::size_t kObserverRoles = 3;
 

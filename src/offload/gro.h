@@ -6,6 +6,7 @@
 // pair described in §2.2 of the paper.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "net/packet.h"
@@ -15,6 +16,17 @@
 #include "telemetry/probes.h"
 
 namespace presto::offload {
+
+/// Why a segment was pushed up (Algorithm 2's branches); selects the
+/// per-cause flush counter.
+enum class FlushCause : std::uint8_t {
+  kSameFlowcell,  ///< gap inside a flowcell => loss, push now
+  kInOrder,       ///< next flowcell continues in order
+  kOverlap,       ///< overlap with delivered bytes (retransmission)
+  kTimeout,       ///< boundary hold expired => presumed loss
+  kStale,         ///< stale flowcell id (retransmission / late gap fill)
+  kOfficial,      ///< stock-GRO unconditional push
+};
 
 /// Abstract GRO handler. Implementations push merged segments up the stack
 /// through the callback supplied at construction.
@@ -48,8 +60,8 @@ class GroEngine {
   /// no state contribute nothing.
   virtual void digest_state(sim::Digest& d) const { (void)d; }
 
-  /// Attaches telemetry probes (null disables). `node` labels trace events
-  /// with the owning host id.
+  /// Attaches telemetry probes (null disables). `node` labels span
+  /// annotations with the owning host id.
   void attach_telemetry(const telemetry::GroProbes* probes,
                         std::uint32_t node) {
     telem_ = probes;
@@ -58,7 +70,7 @@ class GroEngine {
 
  protected:
   /// Pushes a merged segment up the stack, accounting it under `cause`.
-  void push_up(Segment s, telemetry::FlushCause cause, sim::Time now) {
+  void push_up(Segment s, FlushCause cause, sim::Time now) {
     if (telem_ != nullptr) record_push(s, cause, now);
     push_(std::move(s));
   }
@@ -67,10 +79,6 @@ class GroEngine {
   void note_merge(const net::Packet& p, sim::Time now) {
     if (telem_ == nullptr) return;
     telem_->merges->inc();
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(now, telemetry::EventType::kGroMerge,
-                             telem_node_, -1, p.flow.hash(), p.payload);
-    }
     if (telem_->spans != nullptr && p.span_id != 0) {
       telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kGroMerge,
                               now, telem_node_, -1, p.seq, p.payload);
@@ -83,33 +91,27 @@ class GroEngine {
   }
 
  private:
-  void record_push(const Segment& s, telemetry::FlushCause cause,
-                   sim::Time now) {
+  void record_push(const Segment& s, FlushCause cause, sim::Time now) {
     telem_->pushed->inc();
     telem_->segment_bytes->add(static_cast<double>(s.bytes()));
     switch (cause) {
-      case telemetry::FlushCause::kSameFlowcell:
+      case FlushCause::kSameFlowcell:
         telem_->flush_same_flowcell->inc();
         break;
-      case telemetry::FlushCause::kInOrder:
+      case FlushCause::kInOrder:
         telem_->flush_in_order->inc();
         break;
-      case telemetry::FlushCause::kOverlap:
+      case FlushCause::kOverlap:
         telem_->flush_overlap->inc();
         break;
-      case telemetry::FlushCause::kTimeout:
+      case FlushCause::kTimeout:
         telem_->flush_timeout->inc();
         break;
-      case telemetry::FlushCause::kStale:
+      case FlushCause::kStale:
         telem_->flush_stale->inc();
         break;
-      case telemetry::FlushCause::kOfficial:
+      case FlushCause::kOfficial:
         break;
-    }
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(now, telemetry::EventType::kGroFlush,
-                             telem_node_, -1,
-                             static_cast<std::uint64_t>(cause), s.bytes());
     }
     if (telem_->spans != nullptr && s.span_id != 0) {
       telem_->spans->annotate(s.span_id, telemetry::SpanEventKind::kGroFlush,

@@ -24,13 +24,13 @@ void OfficialGro::on_packet(const net::Packet& p, sim::Time now) {
   }
   // Cannot merge (reordered packet or full segment): push the old segment up
   // and start a new one from this packet.
-  push_up(seg, telemetry::FlushCause::kOfficial, now);
+  push_up(seg, FlushCause::kOfficial, now);
   it->second = segment_from(p, now);
 }
 
 void OfficialGro::flush(sim::Time now) {
   for (auto& [flow, seg] : gro_list_) {
-    push_up(seg, telemetry::FlushCause::kOfficial, now);
+    push_up(seg, FlushCause::kOfficial, now);
   }
   gro_list_.clear();
 }

@@ -49,7 +49,7 @@ void PrestoGro::flush(sim::Time now) {
         // (Algorithm 2, lines 3-5).
         f.exp_seq = std::max(f.exp_seq, s.end_seq);
         ++push_stats_.same_flowcell;
-        push_up(s, telemetry::FlushCause::kSameFlowcell, now);
+        push_up(s, FlushCause::kSameFlowcell, now);
       } else if (s.flowcell > f.last_flowcell) {
         if (f.exp_seq == s.start_seq) {
           // Next flowcell continues exactly in order (lines 7-10).
@@ -61,13 +61,13 @@ void PrestoGro::flush(sim::Time now) {
           f.last_flowcell = s.flowcell;
           f.exp_seq = s.end_seq;
           ++push_stats_.in_order;
-          push_up(s, telemetry::FlushCause::kInOrder, now);
+          push_up(s, FlushCause::kInOrder, now);
         } else if (f.exp_seq > s.start_seq) {
           // Overlap with delivered bytes: a retransmission that begins a new
           // flowcell — push up so TCP reacts without delay (lines 11-13).
           f.last_flowcell = s.flowcell;
           ++push_stats_.overlap;
-          push_up(s, telemetry::FlushCause::kOverlap, now);
+          push_up(s, FlushCause::kOverlap, now);
         } else if (timed_out(f, s, now)) {
           // Held long enough: assume the boundary gap was loss (lines 14-17).
           f.last_timeout_at = now;
@@ -75,7 +75,7 @@ void PrestoGro::flush(sim::Time now) {
           f.last_flowcell = s.flowcell;
           f.exp_seq = s.end_seq;
           ++push_stats_.timeout;
-          push_up(s, telemetry::FlushCause::kTimeout, now);
+          push_up(s, FlushCause::kTimeout, now);
         } else {
           // Possible reordering: hold, waiting for the gap to fill.
           if (s.held_since < 0) s.held_since = now;
@@ -94,7 +94,7 @@ void PrestoGro::flush(sim::Time now) {
           f.last_timeout_at = 0;
         }
         ++push_stats_.stale;
-        push_up(s, telemetry::FlushCause::kStale, now);
+        push_up(s, FlushCause::kStale, now);
       }
     }
     f.segments = std::move(held);

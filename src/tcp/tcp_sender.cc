@@ -193,15 +193,7 @@ void TcpSender::enter_recovery() {
   recover_ = snd_nxt_;
   retx_next_ = snd_una_;
   ++stats_.fast_retransmits;
-  if (cfg_.telemetry != nullptr) {
-    cfg_.telemetry->fast_retransmits->inc();
-    if (cfg_.telemetry->tracer != nullptr) {
-      cfg_.telemetry->tracer->record(
-          sim_.now(), telemetry::EventType::kRetransmit, flow_.src_host, -1,
-          static_cast<std::uint64_t>(telemetry::RetxCause::kFastRetransmit),
-          snd_una_);
-    }
-  }
+  if (cfg_.telemetry != nullptr) cfg_.telemetry->fast_retransmits->inc();
   // Open an undo episode so DSACKs can prove this reduction spurious.
   undo_cwnd_ = cc_->cwnd_bytes();
   undo_ssthresh_ = cc_->ssthresh_bytes();
@@ -283,14 +275,7 @@ bool TcpSender::check_invariants(std::string* why) const {
 void TcpSender::on_rto(std::uint64_t generation) {
   if (generation != rto_generation_ || snd_una_ >= snd_nxt_) return;
   ++stats_.timeouts;
-  if (cfg_.telemetry != nullptr) {
-    cfg_.telemetry->rtos->inc();
-    if (cfg_.telemetry->tracer != nullptr) {
-      cfg_.telemetry->tracer->record(
-          sim_.now(), telemetry::EventType::kRetransmit, flow_.src_host, -1,
-          static_cast<std::uint64_t>(telemetry::RetxCause::kRto), snd_una_);
-    }
-  }
+  if (cfg_.telemetry != nullptr) cfg_.telemetry->rtos->inc();
   episode_open_ = false;  // no undo across an RTO
   if (cfg_.on_retransmit) cfg_.on_retransmit(flow_, snd_una_, /*timeout=*/true);
   cc_->on_timeout(sim_.now());

@@ -137,13 +137,6 @@ void write_snapshot(JsonWriter& w, const Snapshot& snap) {
     w.end_object();
   }
   w.end_object();
-  w.key("trace");
-  w.begin_object();
-  w.key("events");
-  w.value(snap.trace_events);
-  w.key("dropped");
-  w.value(snap.trace_dropped);
-  w.end_object();
   w.end_object();
 }
 

@@ -68,8 +68,7 @@ class JsonWriter {
 
 /// Serializes a telemetry snapshot as one JSON object:
 ///   {"counters": {...}, "gauges": {...},
-///    "histograms": {name: {count, sum, min, max, mean, buckets}},
-///    "trace": {"events": n, "dropped": n}}
+///    "histograms": {name: {count, sum, min, max, mean, buckets}}}
 void write_snapshot(JsonWriter& w, const Snapshot& snap);
 
 }  // namespace presto::telemetry

@@ -126,9 +126,6 @@ struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  /// Trace accounting (even when the trace body is not retained).
-  std::uint64_t trace_events = 0;
-  std::uint64_t trace_dropped = 0;
 
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
@@ -142,8 +139,6 @@ struct Snapshot {
       if (!inserted) it->second = std::max(it->second, v);
     }
     for (const auto& [name, h] : o.histograms) histograms[name].merge(h);
-    trace_events += o.trace_events;
-    trace_dropped += o.trace_dropped;
   }
 };
 

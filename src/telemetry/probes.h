@@ -4,9 +4,10 @@
 // Registry once when a Session is created. Components store a
 // `const XxxProbes*` (null => telemetry disabled) and guard updates with a
 // single null check, so the disabled path costs one predictable branch.
-// The network layer is the exception: it knows no telemetry types, so the
-// Session observes it through one net::WireTap (NetObserver) attached to
-// the switches and ports like any other datapath observer.
+// The network layer is the exception: it knows no telemetry types. Its
+// counts are the ports' own net::PortCounters, read when a snapshot is
+// taken, and a NetObserver attached like any other datapath observer sees
+// only what needs the packet itself.
 //
 // The Session is owned by the Experiment: one per simulation replica, never
 // shared across sweep threads.
@@ -15,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/tap.h"
@@ -25,7 +27,11 @@
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "telemetry/timeseries.h"
-#include "telemetry/trace.h"
+
+namespace presto::net {
+class Switch;
+class TxPort;
+}  // namespace presto::net
 
 namespace presto::telemetry {
 
@@ -33,9 +39,6 @@ namespace presto::telemetry {
 struct TelemetryConfig {
   /// Master switch: collect counters/gauges/histograms.
   bool metrics = false;
-  /// Also record the typed event trace (heavier; mainly for tests/debug).
-  bool trace = false;
-  std::size_t trace_capacity = 1 << 16;
 
   // -- flight recorder (DESIGN.md §10) --
   /// Periodically sample registered gauges into bounded time-series rings.
@@ -73,13 +76,13 @@ struct LabelFlight {
 };
 
 /// The telemetry session's datapath observer, attached to every switch and
-/// its ports (and, in flight-recorder runs, to host uplinks): counts
-/// enqueues and drops by cause, samples queue depth after each enqueue,
-/// records Tracer kEnqueue/kDrop events, annotates sampled spans, and keeps
-/// the LabelFlight table when the flight recorder samples it.
+/// its ports (and, in flight-recorder runs, to host uplinks): samples queue
+/// depth after each enqueue, annotates sampled spans, and keeps the
+/// LabelFlight table when the flight recorder samples it. It counts
+/// nothing: the Session reads enqueues and drops from PortCounters.
 class NetObserver final : public net::WireTap {
  public:
-  NetObserver(const sim::Simulation& sim, Registry& registry, Tracer* tracer,
+  NetObserver(const sim::Simulation& sim, Registry& registry,
               SpanTracer* spans, LabelFlight* flight);
 
   void on_enqueue(std::uint32_t node, net::PortId port, const net::Packet& p,
@@ -91,11 +94,7 @@ class NetObserver final : public net::WireTap {
 
  private:
   const sim::Simulation& sim_;
-  Counter* enqueued_;
-  /// Indexed by net::counted_cause.
-  std::array<Counter*, net::kCountedDropCauses> drops_;
   Histogram* queue_depth_bytes_;  ///< sampled after each enqueue
-  Tracer* tracer_;
   SpanTracer* spans_;
   LabelFlight* flight_;
 };
@@ -109,7 +108,6 @@ struct FlowcellProbes {
   Counter* suspicion_clears = nullptr;   ///< spurious-recovery exonerations
   Histogram* label_index = nullptr;     ///< chosen slot per dispatch
   Histogram* cells_per_flow = nullptr;  ///< published at snapshot time
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -124,7 +122,6 @@ struct GroProbes {
   Counter* flush_timeout = nullptr;  ///< boundary-hold timeout fires
   Counter* flush_stale = nullptr;
   Counter* holds = nullptr;
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -135,7 +132,6 @@ struct TcpProbes {
   Counter* retransmitted_bytes = nullptr;
   Counter* dup_acks = nullptr;
   Counter* spurious_recoveries = nullptr;
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -149,7 +145,6 @@ struct ControllerProbes {
   Counter* noop_transitions = nullptr;  ///< redundant fail/restore ignored
   Counter* pushes_dropped = nullptr;    ///< control-plane fault ate a push
   Counter* pushes_delayed = nullptr;    ///< control-plane fault delayed one
-  Tracer* tracer = nullptr;
 };
 
 /// fault::FaultInjector — injected fault activity by class.
@@ -159,21 +154,18 @@ struct FaultProbes {
   Counter* degrade_events = nullptr;  ///< loss-model installs/heals
   Counter* switch_events = nullptr;   ///< switch fail-stop/restore
   Counter* control_events = nullptr;  ///< control-plane fault arms/clears
-  Tracer* tracer = nullptr;
 };
 
-/// Owns the Registry (+ optional Tracer) for one experiment replica and the
-/// pre-resolved probe bundles handed to components. Creating the session
-/// eagerly registers every instrument name, so emitted snapshots always
-/// carry the full cross-layer key set even when a counter stayed at zero.
+/// Owns the Registry for one experiment replica and the pre-resolved probe
+/// bundles handed to components. Creating the session eagerly registers
+/// every instrument name, so emitted snapshots always carry the full
+/// cross-layer key set even when a counter stayed at zero.
 class Session {
  public:
   /// `sim` is the replica's clock (the NetObserver timestamps with it).
   Session(const TelemetryConfig& cfg, const sim::Simulation& sim);
 
   Registry& registry() { return registry_; }
-  /// Null when tracing is disabled.
-  Tracer* tracer() { return tracer_.get(); }
   /// Null when the time-series flight recorder is disabled.
   TimeSeriesSampler* sampler() { return sampler_.get(); }
   const TimeSeriesSampler* sampler() const { return sampler_.get(); }
@@ -182,23 +174,31 @@ class Session {
   const SpanTracer* spans() const { return spans_.get(); }
   LabelFlight& label_flight() { return label_flight_; }
 
-  net::WireTap* net_observer() { return net_observer_.get(); }
+  /// Attaches the NetObserver to `sw` and its ports, and counts their
+  /// PortCounters and the switch's no-route drops in the snapshot's `net.*`
+  /// counters.
+  void observe(net::Switch& sw);
+  /// Attaches the NetObserver to one host uplink and counts it likewise.
+  void observe(net::TxPort& uplink);
+
   const FlowcellProbes* flowcell_probes() const { return &flowcell_; }
   const GroProbes* gro_probes() const { return &gro_; }
   const TcpProbes* tcp_probes() const { return &tcp_; }
   const ControllerProbes* controller_probes() const { return &controller_; }
   const FaultProbes* fault_probes() const { return &fault_; }
 
-  /// Registry snapshot plus trace accounting.
+  /// Registry snapshot plus the `net.*` counters, summed from the
+  /// observed ports' PortCounters at this instant.
   Snapshot snapshot() const;
 
  private:
   Registry registry_;
-  std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<TimeSeriesSampler> sampler_;
   std::unique_ptr<SpanTracer> spans_;
   LabelFlight label_flight_;
   std::unique_ptr<NetObserver> net_observer_;
+  std::vector<const net::Switch*> switches_;
+  std::vector<const net::TxPort*> uplinks_;
   FlowcellProbes flowcell_;
   GroProbes gro_;
   TcpProbes tcp_;

@@ -1,31 +1,21 @@
 #include "telemetry/probes.h"
 
+#include "net/port.h"
+#include "net/switch.h"
+
 namespace presto::telemetry {
 
 NetObserver::NetObserver(const sim::Simulation& sim, Registry& registry,
-                         Tracer* tracer, SpanTracer* spans,
-                         LabelFlight* flight)
+                         SpanTracer* spans, LabelFlight* flight)
     : sim_(sim),
-      enqueued_(&registry.counter("net.port.enqueued_packets")),
-      drops_{&registry.counter("net.port.dropped.queue_full"),
-             &registry.counter("net.port.dropped.link_down"),
-             &registry.counter("net.switch.dropped.no_route"),
-             &registry.counter("net.port.dropped.loss_model"),
-             &registry.counter("net.port.dropped.corrupt")},
       queue_depth_bytes_(&registry.histogram("net.port.queue_depth_bytes")),
-      tracer_(tracer),
       spans_(spans),
       flight_(flight) {}
 
 void NetObserver::on_enqueue(std::uint32_t node, net::PortId port,
                              const net::Packet& p, std::uint64_t depth) {
-  enqueued_->inc();
   queue_depth_bytes_->add(static_cast<double>(depth));
   if (flight_ != nullptr) flight_->add(p.dst_mac, p.buffer_bytes());
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.now(), EventType::kEnqueue, node, port, depth,
-                    p.buffer_bytes());
-  }
   if (spans_ != nullptr && p.span_id != 0) {
     spans_->annotate(p.span_id, SpanEventKind::kEnqueue, sim_.now(), node,
                      port, p.seq, p.buffer_bytes());
@@ -46,14 +36,7 @@ void NetObserver::on_tx(std::uint32_t node, net::PortId port,
 
 void NetObserver::on_drop(std::uint32_t node, net::PortId port,
                           const net::Packet& p, net::DropCause cause) {
-  const auto c = static_cast<std::size_t>(net::counted_cause(cause));
-  if (c < drops_.size()) {
-    drops_[c]->inc();
-    if (tracer_ != nullptr) {
-      tracer_->record(sim_.now(), EventType::kDrop, node, port, c,
-                      p.buffer_bytes());
-    }
-  }
+  (void)cause;
   if (spans_ != nullptr && p.span_id != 0) {
     spans_->annotate(p.span_id, SpanEventKind::kDrop, sim_.now(), node, port,
                      p.seq, p.buffer_bytes());
@@ -61,9 +44,6 @@ void NetObserver::on_drop(std::uint32_t node, net::PortId port,
 }
 
 Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
-  if (cfg.trace) {
-    tracer_ = std::make_unique<Tracer>(cfg.trace_capacity);
-  }
   if (cfg.timeseries) {
     sampler_ = std::make_unique<TimeSeriesSampler>(TimeSeriesConfig{
         cfg.sample_interval, cfg.timeseries_capacity});
@@ -72,12 +52,11 @@ Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
     spans_ = std::make_unique<SpanTracer>(SpanTracerConfig{
         cfg.span_sample_every, cfg.span_max_spans, cfg.span_max_events});
   }
-  Tracer* tr = tracer_.get();
   SpanTracer* sp = spans_.get();
 
   // Only the flight recorder's sampler reads the per-tree in-flight table.
   net_observer_ = std::make_unique<NetObserver>(
-      sim, registry_, tr, sp, sampler_ != nullptr ? &label_flight_ : nullptr);
+      sim, registry_, sp, sampler_ != nullptr ? &label_flight_ : nullptr);
   flowcell_.spans = sp;
   gro_.spans = sp;
   tcp_.spans = sp;
@@ -93,7 +72,6 @@ Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
   flowcell_.label_index = &registry_.histogram("core.flowcell.label_index");
   flowcell_.cells_per_flow =
       &registry_.histogram("core.flowcell.cells_per_flow");
-  flowcell_.tracer = tr;
 
   gro_.merges = &registry_.counter("offload.gro.merges");
   gro_.pushed = &registry_.counter("offload.gro.pushed");
@@ -105,14 +83,12 @@ Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
   gro_.flush_timeout = &registry_.counter("offload.gro.flush.timeout");
   gro_.flush_stale = &registry_.counter("offload.gro.flush.stale");
   gro_.holds = &registry_.counter("offload.gro.holds");
-  gro_.tracer = tr;
 
   tcp_.fast_retransmits = &registry_.counter("tcp.retx.fast");
   tcp_.rtos = &registry_.counter("tcp.retx.timeout");
   tcp_.retransmitted_bytes = &registry_.counter("tcp.retx.bytes");
   tcp_.dup_acks = &registry_.counter("tcp.dup_acks");
   tcp_.spurious_recoveries = &registry_.counter("tcp.spurious_recoveries");
-  tcp_.tracer = tr;
 
   controller_.link_failures = &registry_.counter("controller.link_failures");
   controller_.link_restores = &registry_.counter("controller.link_restores");
@@ -125,21 +101,43 @@ Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
       &registry_.counter("controller.noop_transitions");
   controller_.pushes_dropped = &registry_.counter("controller.pushes_dropped");
   controller_.pushes_delayed = &registry_.counter("controller.pushes_delayed");
-  controller_.tracer = tr;
 
   fault_.events = &registry_.counter("fault.events");
   fault_.link_events = &registry_.counter("fault.link_events");
   fault_.degrade_events = &registry_.counter("fault.degrade_events");
   fault_.switch_events = &registry_.counter("fault.switch_events");
   fault_.control_events = &registry_.counter("fault.control_events");
-  fault_.tracer = tr;
+}
+
+void Session::observe(net::Switch& sw) {
+  sw.observe(net::ObserverRole::kTelemetry, net_observer_.get());
+  switches_.push_back(&sw);
+}
+
+void Session::observe(net::TxPort& uplink) {
+  uplink.set_observer(net::ObserverRole::kTelemetry, net_observer_.get());
+  uplinks_.push_back(&uplink);
 }
 
 Snapshot Session::snapshot() const {
   Snapshot s = registry_.snapshot();
-  if (tracer_ != nullptr) {
-    s.trace_events = tracer_->total();
-    s.trace_dropped = tracer_->dropped();
+  net::PortCounters sum;
+  for (const net::Switch* sw : switches_) {
+    sum += sw->total_counters();
+    sum.drops[static_cast<std::size_t>(net::DropCause::kNoRoute)] +=
+        sw->no_route_drops();
+  }
+  for (const net::TxPort* uplink : uplinks_) sum += uplink->counters();
+  // Indexed by net::counted_cause.
+  static constexpr std::array<const char*, net::kCountedDropCauses>
+      kDropNames = {"net.port.dropped.queue_full",
+                    "net.port.dropped.link_down",
+                    "net.switch.dropped.no_route",
+                    "net.port.dropped.loss_model",
+                    "net.port.dropped.corrupt"};
+  s.counters["net.port.enqueued_packets"] = sum.enqueued_packets;
+  for (std::size_t i = 0; i < kDropNames.size(); ++i) {
+    s.counters[kDropNames[i]] = sum.drops[i];
   }
   return s;
 }

@@ -2,14 +2,12 @@
 // driven through one small switch + host testbed with all three observer
 // roles attached the way the harness attaches them, and the per-cause
 // totals must match across the component accessors (PortCounters,
-// no_route_drops(), ring_drops()), the telemetry registry, the fabric
-// monitor reports and a recording WireTap — with the Tracer's kDrop operand
-// staying in the pinned 0..4 vocabulary.
+// no_route_drops(), ring_drops()), the telemetry registry (which reads
+// PortCounters), the fabric monitor reports and a recording WireTap.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <map>
 
 #include "host/host.h"
 #include "net/switch.h"
@@ -65,7 +63,6 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   sim::Simulation sim;
   telemetry::TelemetryConfig tc;
   tc.metrics = true;
-  tc.trace = true;
   telemetry::Session session(tc, sim);
 
   net::Switch sw(sim, 0, "s0");
@@ -95,7 +92,7 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   telemetry::fabric::FabricConfig fc;
   telemetry::fabric::FabricPlane plane(sim, fc, 7);
   plane.attach_switch(sw);
-  sw.observe(net::ObserverRole::kTelemetry, session.net_observer());
+  session.observe(sw);
   RecordingTap tap;
   sw.set_tap(&tap);
   host.set_tap(&tap);
@@ -130,13 +127,14 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   EXPECT_EQ(t[static_cast<int>(DropCause::kHostRing)], 7u);
 
   // Component accessors.
+  using Drops = std::array<std::uint64_t, net::kCountedDropCauses>;
   EXPECT_EQ(sw.port(kFull).counters().dropped_packets, 1u);
   EXPECT_EQ(sw.port(kDown).counters().dropped_packets, 2u);
   EXPECT_EQ(sw.port(kDownTx).counters().dropped_packets, 3u);
   EXPECT_EQ(sw.port(kLossy).counters().dropped_packets, 4u);
-  EXPECT_EQ(sw.port(kLossy).counters().loss_model_drops, 4u);
+  EXPECT_EQ(sw.port(kLossy).counters().drops, (Drops{0, 0, 0, 4, 0}));
   EXPECT_EQ(sw.port(kCorrupt).counters().dropped_packets, 5u);
-  EXPECT_EQ(sw.port(kCorrupt).counters().corrupt_drops, 5u);
+  EXPECT_EQ(sw.port(kCorrupt).counters().drops, (Drops{0, 0, 0, 0, 5}));
   EXPECT_EQ(sw.port(kEaten).counters().dropped_packets, 0u);
   EXPECT_EQ(sw.no_route_drops(), 6u);
   EXPECT_EQ(host.ring_drops(), 7u);
@@ -156,7 +154,6 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   ASSERT_NE(mon, nullptr);
   telemetry::fabric::TelemetryReport r;
   mon->snapshot(sim.now(), r);
-  using Drops = std::array<std::uint64_t, net::kCountedDropCauses>;
   EXPECT_EQ(r.ports[kFull].drops, (Drops{1, 0, 0, 0, 0}));
   EXPECT_EQ(r.ports[kDown].drops, (Drops{0, 2, 0, 0, 0}));
   EXPECT_EQ(r.ports[kDownTx].drops, (Drops{0, 3, 0, 0, 0}));
@@ -164,6 +161,10 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   EXPECT_EQ(r.ports[kCorrupt].drops, (Drops{0, 0, 0, 0, 5}));
   EXPECT_EQ(r.ports[kEaten].drops, Drops{});
   EXPECT_EQ(r.ports[kToHost].drops, Drops{});
+  // PortCounters, which the registry sums, fold the same way per port.
+  for (net::PortId p = 0; p < kPorts; ++p) {
+    EXPECT_EQ(sw.port(p).counters().drops, r.ports[p].drops) << "port " << p;
+  }
   EXPECT_EQ(mon->no_route_drops(), 6u);
   // Per-label drops: each port's frames ride tree `port`; no-route frames
   // carry a real MAC and land in the catch-all bucket.
@@ -173,14 +174,6 @@ TEST(DropCauses, AgreeAcrossCountersRegistryFabricAndTap) {
   EXPECT_EQ(r.labels[kLossy].drop_packets, 4u);
   EXPECT_EQ(r.labels[kCorrupt].drop_packets, 5u);
   EXPECT_EQ(r.labels[telemetry::fabric::kNonLabelBucket].drop_packets, 6u);
-
-  // Tracer: kDrop operands stay in the counted vocabulary 0..4.
-  std::map<std::uint64_t, std::uint64_t> operands;
-  for (const telemetry::Event& e : session.tracer()->events()) {
-    if (e.type == telemetry::EventType::kDrop) ++operands[e.a];
-  }
-  EXPECT_EQ(operands, (std::map<std::uint64_t, std::uint64_t>{
-                          {0, 1}, {1, 5}, {2, 6}, {3, 4}, {4, 5}}));
 }
 
 }  // namespace

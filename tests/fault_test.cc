@@ -12,6 +12,7 @@
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "net/topology.h"
+#include "test_util.h"
 #include "workload/apps.h"
 #include "workload/patterns.h"
 
@@ -122,7 +123,9 @@ TEST(LossModel, BadStateEatsEverythingAndCountsDrops) {
   for (int i = 0; i < 50; ++i) port.enqueue(frame());
   sim.run();
   EXPECT_EQ(sink.received, 0u);
-  EXPECT_EQ(port.counters().loss_model_drops, 50u);
+  EXPECT_EQ(port.counters().drops[static_cast<std::size_t>(
+                net::DropCause::kLossModel)],
+            50u);
   EXPECT_EQ(port.counters().dropped_packets, 50u);
 
   port.clear_loss_model();
@@ -143,7 +146,9 @@ TEST(LossModel, CorruptionIsSeedDeterministic) {
     port.set_loss_model(m, seed);
     for (int i = 0; i < 400; ++i) port.enqueue(frame());
     sim.run();
-    return std::pair{sink.received, port.counters().corrupt_drops};
+    return std::pair{sink.received,
+                     port.counters().drops[static_cast<std::size_t>(
+                         net::DropCause::kCorrupt)]};
   };
   const auto [rx1, drops1] = run(42);
   const auto [rx2, drops2] = run(42);
@@ -424,8 +429,7 @@ TEST(FaultIntegration, EdgeSuspicionRescuesSilentGrayLink) {
   EXPECT_GT(static_cast<double>(with), 1.2 * static_cast<double>(without));
 }
 
-std::pair<std::string, telemetry::Snapshot> faulted_traced_run(
-    std::uint64_t seed) {
+test::Replay faulted_run(std::uint64_t seed) {
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kPresto;
   cfg.spines = 2;
@@ -434,7 +438,6 @@ std::pair<std::string, telemetry::Snapshot> faulted_traced_run(
   cfg.seed = seed;
   cfg.edge_suspicion = true;
   cfg.telemetry.metrics = true;
-  cfg.telemetry.trace = true;
   cfg.fault_plan =
       "flap@10ms leaf=2 spine=0 group=0 period=20ms count=2;"
       "degrade@15ms leaf=3 spine=1 p_gb=0.05 loss_bad=0.5 corrupt=0.001;"
@@ -449,41 +452,42 @@ std::pair<std::string, telemetry::Snapshot> faulted_traced_run(
   std::uint64_t delivered = 0;
   for (auto* e : els) delivered += e->delivered();
   EXPECT_GT(delivered, 0u);
-  return {ex.tracer()->serialize(), ex.telemetry_snapshot()};
+  return test::replay_of(ex);
 }
 
 TEST(FaultDeterminism, SamePlanSameSeedIsByteIdentical) {
-  const auto [trace1, snap1] = faulted_traced_run(4242);
-  const auto [trace2, snap2] = faulted_traced_run(4242);
-  EXPECT_FALSE(trace1.empty());
-  EXPECT_EQ(trace1, trace2);
-  EXPECT_EQ(snap1.counters, snap2.counters);
-  EXPECT_EQ(snap1.gauges, snap2.gauges);
-  EXPECT_EQ(snap1.trace_events, snap2.trace_events);
-  // The faults actually fired in the traced run.
-  EXPECT_GT(snap1.counters.at("fault.events"), 0u);
-  EXPECT_GT(snap1.counters.at("net.port.dropped.loss_model"), 0u);
+  const test::Replay a = faulted_run(4242);
+  const test::Replay b = faulted_run(4242);
+  EXPECT_GT(a.executed, 0u);
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.snap.counters, b.snap.counters);
+  EXPECT_EQ(a.snap.gauges, b.snap.gauges);
+  // The faults actually fired in the run.
+  EXPECT_GT(a.snap.counters.at("fault.events"), 0u);
+  EXPECT_GT(a.snap.counters.at("net.port.dropped.loss_model"), 0u);
 }
 
 TEST(FaultDeterminism, ParallelSweepMatchesSerialBitForBit) {
   auto sweep = [](unsigned threads) {
-    const auto runs = harness::run_indexed(4, threads, [](int s) {
-      harness::RunResult rr;
-      const auto [trace, snap] =
-          faulted_traced_run(1000 + static_cast<std::uint64_t>(s));
-      rr.telemetry = snap;
-      return rr;
+    return harness::run_indexed(4, threads, [](int s) {
+      return faulted_run(1000 + static_cast<std::uint64_t>(s));
     });
-    telemetry::Snapshot merged;
-    for (const auto& r : runs) merged.merge(r.telemetry);
-    return merged;
   };
-  const telemetry::Snapshot serial = sweep(1);
-  const telemetry::Snapshot parallel = sweep(4);
-  EXPECT_EQ(serial.counters, parallel.counters);
-  EXPECT_EQ(serial.gauges, parallel.gauges);
-  EXPECT_EQ(serial.trace_events, parallel.trace_events);
-  EXPECT_GT(serial.counters.at("fault.events"), 0u);
+  const std::vector<test::Replay> serial = sweep(1);
+  const std::vector<test::Replay> parallel = sweep(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  telemetry::Snapshot merged_serial;
+  telemetry::Snapshot merged_parallel;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].executed, parallel[i].executed);
+    EXPECT_EQ(serial[i].digest, parallel[i].digest);
+    merged_serial.merge(serial[i].snap);
+    merged_parallel.merge(parallel[i].snap);
+  }
+  EXPECT_EQ(merged_serial.counters, merged_parallel.counters);
+  EXPECT_EQ(merged_serial.gauges, merged_parallel.gauges);
+  EXPECT_GT(merged_serial.counters.at("fault.events"), 0u);
 }
 
 }  // namespace

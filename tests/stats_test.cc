@@ -1,8 +1,6 @@
 // Stats tests: percentiles, fairness, reordering metrics.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "stats/reorder_metrics.h"
 #include "stats/samples.h"
 
@@ -71,78 +69,36 @@ TEST(Samples, MergeCombines) {
   EXPECT_NEAR(a.mean(), 2, 1e-9);
 }
 
-TEST(Samples, BudgetCapsRetainedValuesAndCountsDrops) {
-  Samples s;
-  s.set_budget(10);
-  EXPECT_EQ(s.budget(), 10u);
-  for (int i = 1; i <= 25; ++i) s.add(i);
-  EXPECT_EQ(s.count(), 10u);
-  EXPECT_EQ(s.dropped(), 15u);
-  // The retained prefix still reports sane stats.
-  EXPECT_EQ(s.min(), 1);
-  EXPECT_EQ(s.max(), 10);
-}
-
-TEST(Samples, TotalDroppedAggregatesAcrossCollectorsWithoutMergeDoubleCount) {
-  Samples::reset_total_dropped();
-  Samples a, b;
-  a.set_budget(1);
-  b.set_budget(1);
-  a.add(1);
-  a.add(2);  // dropped by a
-  b.add(3);
-  b.add(4);  // dropped by b
-  EXPECT_EQ(Samples::total_dropped(), 2u);
-  // A lossless merge folds b's per-collector count into a's without adding
-  // new rejections to the process-wide total.
-  a.set_budget(10);
-  a.merge(b);
-  EXPECT_EQ(a.dropped(), 2u);
-  EXPECT_EQ(Samples::total_dropped(), 2u);
-  Samples::reset_total_dropped();
-}
-
-// Sweep replicas fill their own collectors on worker threads, and every
-// over-budget add bumps the one process-wide total (a data race under TSan
-// while it was a plain integer).
-TEST(Samples, TotalDroppedCountsDropsFromConcurrentCollectors) {
-  Samples::reset_total_dropped();
-  constexpr int kAdds = 20000;
-  auto fill = [] {
-    Samples s;
-    s.set_budget(1);
-    for (int i = 0; i < kAdds; ++i) s.add(i);
-  };
-  std::thread a(fill);
-  std::thread b(fill);
-  a.join();
-  b.join();
-  EXPECT_EQ(Samples::total_dropped(), 2u * (kAdds - 1));
-  Samples::reset_total_dropped();
-}
-
+// Samples has no retention cap: every value added or merged is kept.
 TEST(Samples, BudgetZeroKeepsCurrentBudget) {
   Samples s;
-  s.set_budget(5);
-  s.set_budget(0);  // ignored: 0 is not a valid budget
-  EXPECT_EQ(s.budget(), 5u);
+  s.add(0);
+  s.add(5);
+  s.add(0);
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_EQ(s.min(), 0);
+  EXPECT_EQ(s.max(), 5);
+  EXPECT_EQ(s.percentile(50), 0);
 }
 
 TEST(Samples, MergeRespectsDestinationBudget) {
   Samples a;
-  a.set_budget(3);
+  for (int i = 0; i < 3; ++i) a.add(i);
   Samples b;
-  for (int i = 0; i < 8; ++i) b.add(i);
-  EXPECT_EQ(b.dropped(), 0u);
+  for (int i = 3; i < 11; ++i) b.add(i);
   a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.dropped(), 5u);
+  EXPECT_EQ(a.count(), 11u);
+  EXPECT_EQ(b.count(), 8u);
+  EXPECT_EQ(a.min(), 0);
+  EXPECT_EQ(a.max(), 10);
 }
 
 TEST(Samples, DefaultBudgetIsLarge) {
+  constexpr std::size_t kValues = 1'000'001;
   Samples s;
-  EXPECT_EQ(s.budget(), Samples::default_budget());
-  EXPECT_GE(s.budget(), 1'000'000u);
+  for (std::size_t i = 0; i < kValues; ++i) s.add(static_cast<double>(i));
+  EXPECT_EQ(s.count(), kValues);
+  EXPECT_EQ(s.percentile(100), static_cast<double>(kValues - 1));
 }
 
 TEST(Jain, PerfectFairnessIsOne) {

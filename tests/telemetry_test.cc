@@ -1,12 +1,13 @@
 // Telemetry tests: registry/snapshot semantics, JSON emission, and the
-// determinism guarantee — same seed + config => byte-identical event trace.
+// determinism guarantee — same seed + config => the same executed events,
+// testbed state and snapshot.
 #include <gtest/gtest.h>
 
 #include "harness/runners.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/probes.h"
-#include "telemetry/trace.h"
+#include "test_util.h"
 
 namespace presto::telemetry {
 namespace {
@@ -51,13 +52,10 @@ TEST(Snapshot, MergeSumsCountersAndKeepsMaxGauge) {
   b.counters["only_b"] = 7;
   a.gauges["g"] = 1.0;
   b.gauges["g"] = 4.0;
-  a.trace_events = 10;
-  b.trace_events = 5;
   a.merge(b);
   EXPECT_EQ(a.counters["c"], 5u);
   EXPECT_EQ(a.counters["only_b"], 7u);
   EXPECT_EQ(a.gauges["g"], 4.0);
-  EXPECT_EQ(a.trace_events, 15u);
 }
 
 TEST(Snapshot, HistogramMergeCombinesBuckets) {
@@ -117,51 +115,13 @@ TEST(JsonWriter, EmitsWellFormedDocument) {
   EXPECT_EQ(doc.back(), '}');
 }
 
-TEST(Tracer, CountsBeyondCapacity) {
-  Tracer t(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    t.record(i, EventType::kEnqueue, 0, -1);
-  }
-  EXPECT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.total(), 5u);
-  EXPECT_EQ(t.dropped(), 3u);
-}
-
-TEST(Tracer, KeepsTheOldestEventsAtTheWrapBoundary) {
-  // The ring keeps the head of the run: events recorded exactly at capacity
-  // and beyond are counted but not stored, and what *is* stored stays in
-  // record order so serialize() is stable regardless of overflow.
-  Tracer t(/*capacity=*/3);
-  for (int i = 0; i < 3; ++i) t.record(i, EventType::kEnqueue, i, -1);
-  t.record(3, EventType::kDrop, 3, -1);  // first overflowing event
-  ASSERT_EQ(t.events().size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(t.events()[i].at, i);
-    EXPECT_EQ(t.events()[i].type, EventType::kEnqueue);
-  }
-  EXPECT_EQ(t.dropped(), 1u);
-  const std::string text = t.serialize();
-  EXPECT_NE(text.find("total=4 dropped=1"), std::string::npos);
-  EXPECT_EQ(text.find("3 drop"), std::string::npos)
-      << "the overflowed kDrop event must not appear as a stored line";
-}
-
-TEST(Tracer, ZeroCapacityDropsEverything) {
-  Tracer t(/*capacity=*/0);
-  t.record(1, EventType::kEnqueue, 0, -1);
-  t.record(2, EventType::kGroFlush, 0, -1);
-  EXPECT_TRUE(t.events().empty());
-  EXPECT_EQ(t.total(), 2u);
-  EXPECT_EQ(t.dropped(), 2u);
-  EXPECT_EQ(t.serialize(), "total=2 dropped=2\n");
-}
-
-// Same seed + config => the whole stack replays identically, so the typed
-// event trace and the metrics snapshot are byte-identical run to run.
+// Same seed + config => the whole stack replays identically: the same
+// events execute, the testbed ends in the same state, and the metrics
+// snapshot is identical run to run.
 class TraceDeterminismTest
     : public ::testing::TestWithParam<harness::Scheme> {};
 
-std::pair<std::string, Snapshot> traced_run(harness::Scheme scheme) {
+test::Replay metered_run(harness::Scheme scheme) {
   harness::ExperimentConfig cfg;
   cfg.scheme = scheme;
   cfg.spines = 2;
@@ -169,7 +129,6 @@ std::pair<std::string, Snapshot> traced_run(harness::Scheme scheme) {
   cfg.hosts_per_leaf = 2;
   cfg.seed = 1234;
   cfg.telemetry.metrics = true;
-  cfg.telemetry.trace = true;
   harness::Experiment ex(cfg);
   std::vector<workload::ElephantApp*> els;
   for (const auto& [s, d] : workload::stride_pairs(4, 2)) {
@@ -179,17 +138,17 @@ std::pair<std::string, Snapshot> traced_run(harness::Scheme scheme) {
   std::uint64_t delivered = 0;
   for (auto* e : els) delivered += e->delivered();
   EXPECT_GT(delivered, 0u);
-  return {ex.tracer()->serialize(), ex.telemetry_snapshot()};
+  return test::replay_of(ex);
 }
 
 TEST_P(TraceDeterminismTest, SameSeedSameTrace) {
-  const auto [trace1, snap1] = traced_run(GetParam());
-  const auto [trace2, snap2] = traced_run(GetParam());
-  EXPECT_FALSE(trace1.empty());
-  EXPECT_EQ(trace1, trace2);
-  EXPECT_EQ(snap1.counters, snap2.counters);
-  EXPECT_EQ(snap1.gauges, snap2.gauges);
-  EXPECT_EQ(snap1.trace_events, snap2.trace_events);
+  const test::Replay a = metered_run(GetParam());
+  const test::Replay b = metered_run(GetParam());
+  EXPECT_GT(a.executed, 0u);
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.snap.counters, b.snap.counters);
+  EXPECT_EQ(a.snap.gauges, b.snap.gauges);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -216,7 +175,7 @@ TEST(Telemetry, DisabledExperimentReturnsEmptySnapshot) {
   ex.add_elephant(0, 2, 0);
   ex.sim().run_until(20 * sim::kMillisecond);
   EXPECT_TRUE(ex.telemetry_snapshot().empty());
-  EXPECT_EQ(ex.tracer(), nullptr);
+  EXPECT_EQ(ex.telemetry(), nullptr);
 }
 
 }  // namespace

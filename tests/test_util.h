@@ -1,13 +1,17 @@
 // Shared test fixtures: a two-host rig with a programmable interposer so TCP
-// behaviour (loss, delay, reordering) can be exercised deterministically.
+// behaviour (loss, delay, reordering) can be exercised deterministically,
+// and what a replayed testbed must reproduce, for determinism checks.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
+#include "harness/experiment.h"
 #include "host/host.h"
 #include "net/packet.h"
 #include "net/sink.h"
+#include "sim/digest.h"
 #include "sim/simulation.h"
 
 namespace presto::test {
@@ -80,5 +84,26 @@ struct TwoHostRig {
 
   net::FlowKey flow() const { return net::FlowKey{0, 1, 10000, 80}; }
 };
+
+/// What a run replayed with the same seed and config must reproduce.
+struct Replay {
+  std::uint64_t executed = 0;  ///< events the simulation ran
+  /// The testbed's whole state, composed as check::ScenarioRun's state
+  /// digest is, less the checker: the simulation, every host, the fabric
+  /// plane and the control loop.
+  std::uint64_t digest = 0;
+  telemetry::Snapshot snap;
+};
+
+inline Replay replay_of(harness::Experiment& ex) {
+  sim::Digest d;
+  ex.sim().digest_state(d);
+  for (net::HostId h = 0; h < ex.topo().host_count(); ++h) {
+    ex.host(h).digest_state(d);
+  }
+  if (ex.fabric_plane() != nullptr) ex.fabric_plane()->digest_state(d);
+  if (ex.control_loop() != nullptr) ex.control_loop()->digest_state(d);
+  return {ex.sim().executed(), d.value(), ex.telemetry_snapshot()};
+}
 
 }  // namespace presto::test
