@@ -1,5 +1,4 @@
-// JSON emission for google-benchmark micro binaries (micro_overhead,
-// perf_core's micro section).
+// JSON emission for the google-benchmark micro binary (micro_overhead).
 //
 // google-benchmark's own --benchmark_format=json emits its house schema;
 // the repo's tooling consumes presto.bench documents instead, so this

@@ -99,7 +99,6 @@ RunResult north_south(const ExperimentConfig& base, const RunOptions& opt,
                       double, double) {
   ExperimentConfig cfg = base;
   cfg.remote_users_per_spine = 1;
-  cfg.remote_link_rate_bps = 100e6;
   harness::Experiment ex(cfg);
   sim::Rng rng = ex.fork_rng();
   const sim::Time stop = opt.warmup + opt.measure;

@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark): per-operation cost of the hot paths
 // the paper argues must be cheap — flowcell creation in the vSwitch (§5:
 // "Presto needs just two memcpy operations"), GRO merge/flush, TSO split,
-// and the SACK scoreboard.
+// and the SACK scoreboard — and of the simulator core under them: inline
+// EventFn dispatch, ladder-queue churn, the self-scheduling Simulation loop
+// and the packet pool.
 //
 // With `--json` (or PRESTO_BENCH_JSON set) the results are additionally
 // written as a presto.bench v1 document to <outdir>/micro_overhead.json.
@@ -11,10 +13,14 @@
 #include "bench_micro_json.h"
 #include "core/flowcell_engine.h"
 #include "core/label_map.h"
+#include "net/packet_pool.h"
 #include "offload/official_gro.h"
 #include "offload/presto_gro.h"
 #include "offload/tso.h"
+#include "sim/event_fn.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "sim/simulation.h"
 #include "tcp/range_set.h"
 
 namespace {
@@ -145,6 +151,86 @@ void BM_RangeSetAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeSetAdd);
+
+/// 48-byte capture: the size the allocation-free guarantee covers.
+struct Pad48 {
+  std::uint64_t a[6];
+};
+static_assert(sizeof(Pad48) == 48);
+static_assert(sim::EventFn::fits_inline<decltype([p = Pad48{}] {
+                (void)p;
+              })>(),
+              "a 48-byte lambda capture must be stored inline");
+
+void BM_EventFnInline48(benchmark::State& state) {
+  Pad48 pad{};
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    sim::EventFn fn([pad, &sink] { sink += pad.a[0] + 1; });
+    fn();
+    benchmark::DoNotOptimize(sink);
+  }
+}
+BENCHMARK(BM_EventFnInline48);
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  sim::EventQueue q;
+  sim::Rng rng(7);
+  sim::Time now = 0;
+  std::uint64_t sink = 0;
+  constexpr int kBatch = 64;
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) {
+      q.push(now + static_cast<sim::Time>(rng.below(4000)),
+             [&sink] { ++sink; });
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      sim::Time when;
+      const std::uint32_t slot = q.pop_due(sim::kTimeNever, &when);
+      now = when;
+      q.call(slot);
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_EventQueueChurn);
+
+void BM_SimulationSelfSchedule(benchmark::State& state) {
+  // One self-rescheduling event per iteration batch: the exact steady-state
+  // schedule -> pop -> dispatch cycle of the simulator loop.
+  sim::Simulation sim;
+  std::uint64_t remaining = 0;
+  struct Chain {
+    sim::Simulation& sim;
+    std::uint64_t& remaining;
+    Pad48 pad{};
+    void operator()() {
+      if (--remaining > 0) sim.schedule(100, *this);
+    }
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    remaining = 1024;
+    state.ResumeTiming();
+    sim.schedule(1, Chain{sim, remaining});
+    sim.run();
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_SimulationSelfSchedule);
+
+void BM_PacketPoolCycle(benchmark::State& state) {
+  net::PacketPool pool;
+  net::Packet tmpl;
+  tmpl.payload = 1448;
+  for (auto _ : state) {
+    net::Packet* p = pool.acquire(net::Packet{tmpl});
+    benchmark::DoNotOptimize(p);
+    pool.release(p);
+  }
+}
+BENCHMARK(BM_PacketPoolCycle);
 
 // Console output plus row collection from a single benchmark pass.
 class TeeReporter : public benchmark::ConsoleReporter {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 
+#include "telemetry/json.h"
 #include "telemetry/json_parse.h"
 
 namespace presto::check {
@@ -21,29 +22,6 @@ std::string strf(const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   return buf;
-}
-
-/// Minimal JSON string escaping for the manifest (reports can hold quotes
-/// and newlines).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// 64-bit values cross the JSON layer as hex strings: the parser stores
@@ -306,48 +284,67 @@ DiffResult run_differential_soak(const Scenario& sc, const SoakOptions& opt,
 // ---------------------------------------------------------------------------
 
 bool SoakManifest::save(const std::string& path, std::string* err) const {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema\": \"presto.soak\",\n";
-  out << "  \"scenario\": \"" << json_escape(scenario) << "\",\n";
-  out << strf("  \"epoch_us\": %" PRId64 ",\n",
-              static_cast<std::int64_t>(epoch_length / sim::kMicrosecond));
-  out << strf("  \"epoch_events\": %" PRIu64 ",\n", epoch_events);
-  out << strf("  \"audit_every\": %u,\n", audit_every);
-  out << strf("  \"leak_age_us\": %" PRId64 ",\n",
-              static_cast<std::int64_t>(leak_age / sim::kMicrosecond));
-  out << "  \"schemes\": [";
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    out << (i > 0 ? ", " : "") << '"' << json_escape(schemes[i]) << '"';
+  telemetry::JsonWriter w;
+  w.begin_object();
+  w.key("schema");
+  w.value("presto.soak");
+  w.key("scenario");
+  w.value(scenario);
+  w.key("epoch_us");
+  w.value(static_cast<std::int64_t>(epoch_length / sim::kMicrosecond));
+  w.key("epoch_events");
+  w.value(epoch_events);
+  w.key("audit_every");
+  w.value(static_cast<std::uint64_t>(audit_every));
+  w.key("leak_age_us");
+  w.value(static_cast<std::int64_t>(leak_age / sim::kMicrosecond));
+  w.key("schemes");
+  w.begin_array();
+  for (const std::string& scheme : schemes) w.value(scheme);
+  w.end_array();
+  w.key("status");
+  w.value(status);
+  w.key("first_bad_epoch");
+  w.value(static_cast<std::uint64_t>(first_bad_epoch));
+  w.key("report");
+  w.value(report);
+  w.key("disagreements");
+  w.begin_array();
+  for (const Disagreement& d : disagreements) {
+    w.begin_object();
+    w.key("epoch");
+    w.value(static_cast<std::uint64_t>(d.epoch));
+    w.key("scheme");
+    w.value(d.scheme);
+    w.key("delivered");
+    w.value(d.delivered);
+    w.key("best");
+    w.value(d.best);
+    w.end_object();
   }
-  out << "],\n";
-  out << "  \"status\": \"" << json_escape(status) << "\",\n";
-  out << strf("  \"first_bad_epoch\": %u,\n", first_bad_epoch);
-  out << "  \"report\": \"" << json_escape(report) << "\",\n";
-  out << "  \"disagreements\": [";
-  for (std::size_t i = 0; i < disagreements.size(); ++i) {
-    const Disagreement& d = disagreements[i];
-    out << (i > 0 ? "," : "")
-        << strf("\n    {\"epoch\": %u, \"scheme\": \"%s\", "
-                "\"delivered\": %" PRIu64 ", \"best\": %" PRIu64 "}",
-                d.epoch, json_escape(d.scheme).c_str(), d.delivered, d.best);
+  w.end_array();
+  w.key("epochs");
+  w.begin_array();
+  for (const EpochRecord& e : epochs) {
+    w.begin_object();
+    w.key("epoch");
+    w.value(static_cast<std::uint64_t>(e.epoch));
+    w.key("sim_us");
+    w.value(static_cast<std::int64_t>(e.sim_time / sim::kMicrosecond));
+    w.key("executed");
+    w.value(e.executed);
+    w.key("digest");
+    w.value(hex64(e.digest));
+    w.key("delivered");
+    w.value(e.delivered_bytes);
+    w.key("violations");
+    w.value(e.violations);
+    w.key("audited");
+    w.value(e.audited);
+    w.end_object();
   }
-  out << (disagreements.empty() ? "],\n" : "\n  ],\n");
-  out << "  \"epochs\": [\n";
-  for (std::size_t i = 0; i < epochs.size(); ++i) {
-    const EpochRecord& e = epochs[i];
-    out << strf("    {\"epoch\": %u, \"sim_us\": %" PRId64
-                ", \"executed\": %" PRIu64 ", \"digest\": \"%s\", "
-                "\"delivered\": %" PRIu64 ", \"violations\": %" PRIu64
-                ", \"audited\": %s}%s\n",
-                e.epoch, static_cast<std::int64_t>(e.sim_time /
-                                                   sim::kMicrosecond),
-                e.executed, hex64(e.digest).c_str(), e.delivered_bytes,
-                e.violations, e.audited ? "true" : "false",
-                i + 1 < epochs.size() ? "," : "");
-  }
-  out << "  ]\n";
-  out << "}\n";
+  w.end_array();
+  w.end_object();
 
   // Atomic rewrite: a crash mid-save leaves the previous manifest intact.
   const std::string tmp = path + ".tmp";
@@ -357,7 +354,7 @@ bool SoakManifest::save(const std::string& path, std::string* err) const {
       if (err != nullptr) *err = "cannot open " + tmp;
       return false;
     }
-    f << out.str();
+    f << w.str() << '\n';
     if (!f.good()) {
       if (err != nullptr) *err = "write failed: " + tmp;
       return false;

@@ -37,15 +37,20 @@ Experiment::Experiment(ExperimentConfig cfg)
         topo_ = net::make_clos(sim_, cfg_.spines, cfg_.leaves,
                                cfg_.hosts_per_leaf, params);
         break;
-      case net::TopologyKind::kAsymClos:
+      case net::TopologyKind::kAsymClos: {
+        // The asymmetric-link-speed fabric: the first spine's fabric links
+        // run at 0.4x.
+        constexpr double kAsymRateScale = 0.4;
+        constexpr std::uint32_t kAsymSlowSpines = 1;
         params.spine_rate_scale.assign(cfg_.spines, 1.0);
-        for (std::uint32_t i = 0;
-             i < std::min(cfg_.asym_slow_spines, cfg_.spines); ++i) {
-          params.spine_rate_scale[i] = cfg_.asym_rate_scale;
+        for (std::uint32_t i = 0; i < std::min(kAsymSlowSpines, cfg_.spines);
+             ++i) {
+          params.spine_rate_scale[i] = kAsymRateScale;
         }
         topo_ = net::make_clos(sim_, cfg_.spines, cfg_.leaves,
                                cfg_.hosts_per_leaf, params);
         break;
+      }
       case net::TopologyKind::kOversubClos:
         params.fabric_link.rate_bps = cfg_.link_rate_bps *
                                       cfg_.hosts_per_leaf /
@@ -60,8 +65,9 @@ Experiment::Experiment(ExperimentConfig cfg)
     }
     // North-south remote users hang off the spines over WAN-limited links
     // (no spine tier on a mesh: the loop body never runs there).
+    constexpr double kRemoteLinkRateBps = 100e6;
     net::LinkConfig wan = link;
-    wan.rate_bps = cfg_.remote_link_rate_bps;
+    wan.rate_bps = kRemoteLinkRateBps;
     for (net::SwitchId spine : topo_->spines()) {
       for (std::uint32_t i = 0; i < cfg_.remote_users_per_spine; ++i) {
         topo_->add_host(spine, wan);
@@ -198,13 +204,14 @@ void Experiment::build_hosts() {
       hc.tcp.telemetry = telem_->tcp_probes();
       hc.sampler = telem_->sampler();
       hc.span_tracer = telem_->spans();
-      hc.flow_series = cfg_.telemetry.flow_series_per_host;
     }
     hc.jitter_seed = net::mix64(cfg_.seed ^ (0xBEEF00ULL + h));
     hc.uplink = topo_->host(h).link;
+    // Host NIC/qdisc transmit queue — large, so hosts do not drop their own
+    // bursts (Linux qdisc default ~1000 packets plus TSQ backpressure).
+    constexpr std::uint64_t kHostTxQueueBytes = 4 * 1024 * 1024;
     hc.uplink.queue_bytes =
-        std::max<std::uint64_t>(hc.uplink.queue_bytes,
-                                cfg_.host_tx_queue_bytes);
+        std::max<std::uint64_t>(hc.uplink.queue_bytes, kHostTxQueueBytes);
     const lb::SchemeInfo& scheme_info =
         lb::SchemeRegistry::instance().info(cfg_.scheme);
     const bool server = h < num_servers || scheme_info.single_switch;

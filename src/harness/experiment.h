@@ -44,23 +44,16 @@ struct ExperimentConfig {
   std::uint32_t leaves = 4;
   std::uint32_t hosts_per_leaf = 4;
   std::uint32_t gamma = 1;
-  /// kAsymClos: rate multiplier on the fabric links of the first
-  /// `asym_slow_spines` spines (the asymmetric-link-speed fabric).
-  double asym_rate_scale = 0.4;
-  std::uint32_t asym_slow_spines = 1;
   /// kOversubClos: 3-tier pod-uplink oversubscription ratio folded into the
   /// leaf-spine rate: fabric = link_rate * hosts_per_leaf / (spines * F).
   double oversub_factor = 4.0;
   double link_rate_bps = 10e9;
   sim::Time link_propagation = 500 * sim::kNanosecond;
   std::uint64_t switch_buffer_bytes = 400 * 1024;
-  /// Host NIC/qdisc transmit queue — large, so hosts do not drop their own
-  /// bursts (Linux qdisc default ~1000 packets plus TSQ backpressure).
-  std::uint64_t host_tx_queue_bytes = 4 * 1024 * 1024;
 
-  // North-south extension (Table 2): remote users attached to spines.
+  // North-south extension (Table 2): remote users attached to spines over
+  // 100 Mbps WAN links.
   std::uint32_t remote_users_per_spine = 0;
-  double remote_link_rate_bps = 100e6;
 
   // Scheme parameters.
   sim::Time flowlet_gap = 500 * sim::kMicrosecond;

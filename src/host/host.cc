@@ -63,7 +63,10 @@ tcp::TcpSender& Host::create_sender(const net::FlowKey& flow,
       [this](net::Packet&& seg) { egress_segment(std::move(seg)); });
   auto [it, inserted] = senders_.insert_or_assign(flow, std::move(sender));
   (void)inserted;
-  if (cfg_.sampler != nullptr && flow_series_made_ < cfg_.flow_series) {
+  // The flight recorder samples cwnd/srtt of the first senders created on
+  // this host.
+  constexpr std::uint32_t kFlowSeries = 4;
+  if (cfg_.sampler != nullptr && flow_series_made_ < kFlowSeries) {
     // Sample through find_sender, not the TcpSender pointer: a later
     // insert_or_assign for the same flow must not leave a dangling capture.
     const std::string base = "host" + std::to_string(id_) + ".flow" +

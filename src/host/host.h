@@ -83,12 +83,11 @@ struct HostConfig {
   const telemetry::GroProbes* gro_telemetry = nullptr;
 
   /// Flight recorder (null disables; set by the harness). The sampler gets
-  /// per-flow cwnd/srtt series for the first `flow_series` senders created
-  /// on this host; the span tracer is handed to every receiver so in-order
+  /// per-flow cwnd/srtt series for the first few senders created on this
+  /// host; the span tracer is handed to every receiver so in-order
   /// delivery closes flowcell spans.
   telemetry::TimeSeriesSampler* sampler = nullptr;
   telemetry::SpanTracer* span_tracer = nullptr;
-  std::uint32_t flow_series = 4;
 };
 
 class Host : public net::PacketSink {

@@ -136,6 +136,9 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
     reordered += st.acct.reordered;
     lost += st.acct.lost;
     if (cfg_.flush_period > 0) {
+      // A switch is "silent" after this many flush periods without an
+      // accepted report.
+      constexpr std::uint32_t kSilentAfterPeriods = 2;
       double staleness = -1.0;  // "never reported"
       if (st.acct.has_report) {
         // Emission-based, not arrival-based: a control plane that delays
@@ -145,7 +148,7 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
         staleness = static_cast<double>(now - st.latest.emitted_at) /
                     static_cast<double>(cfg_.flush_period);
       }
-      if (staleness < 0 || staleness > cfg_.silent_after_periods) {
+      if (staleness < 0 || staleness > kSilentAfterPeriods) {
         ++silent;
         silent_switches.emplace_back(id, staleness);
       }
@@ -236,12 +239,15 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
                  : 0.0;
   const double imbalance =
       mean_bytes > 0 ? static_cast<double>(max_bytes) / mean_bytes : 0.0;
+  // Spray-imbalance index (max/mean per-label tx bytes) at/above which the
+  // label group is flagged imbalanced.
+  constexpr double kImbalanceThreshold = 1.5;
   w.key("imbalance");
   w.begin_object();
   w.key("index");
   w.value(imbalance);
   w.key("flagged");
-  w.value(active > 0 && imbalance >= cfg_.imbalance_threshold);
+  w.value(active > 0 && imbalance >= kImbalanceThreshold);
   w.key("active_labels");
   w.value(static_cast<std::uint64_t>(active));
   if (active > 0) {
@@ -257,19 +263,22 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
   // compared against the mean of the *other* active labels (leave-one-out):
   // with few labels a single outlier dominates the global mean, capping the
   // achievable ratio at the label count and masking exactly the cases the
-  // detector exists for.
+  // detector exists for. A label is an outlier when its loss% is at least
+  // kLossOutlierFactor times that mean and at least kLossOutlierMinPct.
+  constexpr double kLossOutlierFactor = 4.0;
+  constexpr double kLossOutlierMinPct = 0.5;
   w.key("loss_outliers");
   w.begin_array();
   const double loss_sum = mean_loss * static_cast<double>(active_loss_labels);
   for (std::size_t b = 0; b < kNonLabelBucket; ++b) {
     if (agg[b].tx_packets + agg[b].drop_packets == 0) continue;
     const double lp = loss_pct(agg[b].drop_packets, agg[b].tx_packets);
-    if (lp < cfg_.loss_outlier_min_pct) continue;
+    if (lp < kLossOutlierMinPct) continue;
     const double mean_others =
         active_loss_labels > 1
             ? (loss_sum - lp) / static_cast<double>(active_loss_labels - 1)
             : 0.0;
-    if (lp < cfg_.loss_outlier_factor * mean_others && mean_others > 0) {
+    if (lp < kLossOutlierFactor * mean_others && mean_others > 0) {
       continue;
     }
     w.begin_object();
@@ -322,7 +331,9 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
   }
   w.end_array();
 
-  // Microburst ranking: top-N (switch, port) by longest episode.
+  // Microburst ranking: the top kMicroburstTop (switch, port) by longest
+  // episode.
+  constexpr std::uint32_t kMicroburstTop = 5;
   struct BurstRow {
     std::uint32_t sw;
     std::size_t port;
@@ -345,7 +356,7 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
               if (a.sw != b.sw) return a.sw < b.sw;
               return a.port < b.port;
             });
-  if (bursts.size() > cfg_.microburst_top) bursts.resize(cfg_.microburst_top);
+  if (bursts.size() > kMicroburstTop) bursts.resize(kMicroburstTop);
   w.key("microbursts");
   w.begin_array();
   for (const BurstRow& row : bursts) {

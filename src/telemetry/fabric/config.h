@@ -19,14 +19,6 @@ namespace presto::telemetry::fabric {
 struct FabricConfig {
   /// Master switch: attach monitors to every switch port.
   bool monitors = false;
-  /// Measurement aid for perf_core's paired overhead runs: when false, the
-  /// whole plane is still built (monitors allocated, flush schedule and
-  /// collector running) but the TxPort hooks are NOT attached, so the
-  /// packet hot path runs exactly as with `monitors = false`. Holding the
-  /// allocation sequence constant this way isolates the hook cost from
-  /// heap-layout luck, which on some hosts swings paired throughput runs
-  /// by more than the hooks themselves cost.
-  bool attach_hooks = true;
 
   // -- collection protocol --
   /// Period between monitor flushes to the collector (0 = no scheduled
@@ -42,33 +34,19 @@ struct FabricConfig {
   std::uint64_t microburst_threshold_bytes = 150 * 1024;
   /// Sample queue depth into the per-label DDSketch on every 2^shift-th
   /// enqueue (per port). Keeps the sketch update (one std::log) off most
-  /// hot-path events; every 32nd enqueue keeps the monitor overhead well
-  /// under the 5% events/sec budget perf_core enforces while still
-  /// collecting tens of thousands of depth samples per bench run.
+  /// hot-path events while still collecting tens of thousands of depth
+  /// samples per bench run.
   std::uint32_t sketch_sample_shift = 5;
   /// EWMA weight for the per-port utilization estimate (per flush window).
   double util_alpha = 0.3;
   /// Per-flush decay applied to the queue high-watermark.
   double hwm_decay = 0.5;
 
-  // -- anomaly thresholds --
+  // -- anomaly thresholds (the fixed ones are constants in collector.cc) --
   /// Utilization EWMA at/above which a port counts as "hot".
   double hotspot_util = 0.90;
   /// Consecutive hot reports before a port is flagged a persistent hotspot.
   std::uint32_t hotspot_consecutive = 3;
-  /// Spray-imbalance index (max/mean per-label tx bytes) at/above which the
-  /// label group is flagged imbalanced.
-  double imbalance_threshold = 1.5;
-  /// A label is a loss outlier when its loss% is >= `loss_outlier_factor`
-  /// times the mean across the *other* active labels (leave-one-out) and
-  /// >= `loss_outlier_min_pct`.
-  double loss_outlier_factor = 4.0;
-  double loss_outlier_min_pct = 0.5;
-  /// A switch is "silent" after this many flush periods without an accepted
-  /// report (only meaningful while the collection protocol runs).
-  std::uint32_t silent_after_periods = 2;
-  /// How many entries the microburst ranking keeps.
-  std::uint32_t microburst_top = 5;
 };
 
 }  // namespace presto::telemetry::fabric

@@ -142,9 +142,7 @@ class PortMonitor {
 
   // Hot cluster first: every field the inline hooks read or write sits in
   // the first two cache lines, ahead of the 400+-byte label array and the
-  // report struct — the hooks run on every packet event, and scattering
-  // this state across the object measurably moves the perf_core monitor
-  // overhead.
+  // report struct — the hooks run on every packet event.
   std::uint64_t depth_ = 0;      ///< last observed queue occupancy
   std::uint64_t hwm_live_ = 0;   ///< raw max since attach
   /// Folded into r_ at window close; low bits double as the sketch

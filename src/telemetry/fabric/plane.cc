@@ -19,7 +19,7 @@ void FabricPlane::attach_switch(net::Switch& sw) {
   for (std::size_t i = 0; i < sw.port_count(); ++i) {
     mon->add_port(sw.port(static_cast<net::PortId>(i)).config().rate_bps);
   }
-  if (cfg_.attach_hooks) sw.observe(net::ObserverRole::kMonitor, mon.get());
+  sw.observe(net::ObserverRole::kMonitor, mon.get());
   collector_.expect_switch(sw.id(), sw.port_count());
   monitors_[sw.id()] = std::move(mon);
 }

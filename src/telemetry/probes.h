@@ -42,15 +42,12 @@ struct TelemetryConfig {
 
   // -- flight recorder (DESIGN.md §10) --
   /// Periodically sample registered gauges into bounded time-series rings.
+  /// Ring capacity is TimeSeriesConfig's default.
   bool timeseries = false;
   sim::Time sample_interval = 100 * sim::kMicrosecond;
-  std::size_t timeseries_capacity = 4096;
-  /// Open a causal span for every Nth dispatched flowcell (0 = off).
+  /// Open a causal span for every Nth dispatched flowcell (0 = off). The
+  /// span and event caps are SpanTracerConfig's defaults.
   std::uint32_t span_sample_every = 0;
-  std::size_t span_max_spans = 1024;
-  std::size_t span_max_events = 1 << 16;
-  /// Per-host cap on flows given cwnd/srtt series (first N senders created).
-  std::uint32_t flow_series_per_host = 4;
 
   /// In-fabric telemetry plane (switch-side monitors + collection protocol
   /// + anomaly layer; DESIGN.md §15). Independent of `metrics`.

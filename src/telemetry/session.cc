@@ -45,12 +45,12 @@ void NetObserver::on_drop(std::uint32_t node, net::PortId port,
 
 Session::Session(const TelemetryConfig& cfg, const sim::Simulation& sim) {
   if (cfg.timeseries) {
-    sampler_ = std::make_unique<TimeSeriesSampler>(TimeSeriesConfig{
-        cfg.sample_interval, cfg.timeseries_capacity});
+    sampler_ = std::make_unique<TimeSeriesSampler>(
+        TimeSeriesConfig{cfg.sample_interval});
   }
   if (cfg.span_sample_every > 0) {
-    spans_ = std::make_unique<SpanTracer>(SpanTracerConfig{
-        cfg.span_sample_every, cfg.span_max_spans, cfg.span_max_events});
+    spans_ = std::make_unique<SpanTracer>(
+        SpanTracerConfig{cfg.span_sample_every});
   }
   SpanTracer* sp = spans_.get();
 

@@ -1,4 +1,4 @@
-// Locks down the JSON contract of the micro-benchmark binaries: the
+// Locks down the JSON contract of the micro-benchmark binary: the
 // presto.bench document emitted by bench_micro_json.h (micro_overhead
 // --json / PRESTO_BENCH_JSON) must stay parsable by telemetry/json_parse
 // and keep its schema header, so perf tooling can diff runs across

@@ -1,6 +1,8 @@
 // Allocation guard for the closed-loop control plane (DESIGN.md §15.1,
 // §15.2, §17). A counting global operator new (alloc_count.cc, the
-// perfbench idiom) sees every allocation the simulator makes. An idle
+// perfbench idiom) sees every allocation the simulator makes. Once the
+// depth sketches cover a queue-depth range, the monitor hooks on busy
+// ports allocate nothing, sampled sketch adds included. An idle
 // switch's snapshot and the delivery of its report allocate nothing, from
 // the first idle window through the gauges' decay to their fixed point.
 // Once a closed-loop experiment's traffic is done and its buffers have
@@ -26,6 +28,63 @@
 
 namespace presto {
 namespace {
+
+TEST(ControlPlaneAllocs, BusyMonitorHooksAllocateNothing) {
+  using namespace telemetry::fabric;
+  FabricConfig cfg;
+  sim::Simulation sim;
+  SwitchMonitor mon(sim, 0, cfg);
+  constexpr std::size_t kPorts = 4;
+  for (std::size_t i = 0; i < kPorts; ++i) mon.add_port(10e9);
+
+  // One pass: every port sees every label bucket (trees 0..15 and the
+  // catch-all) at every depth of a fixed range, from one frame past the
+  // microburst threshold to a full 400 KB buffer, with a transmit and a
+  // drop after each enqueue. Each (port, label, depth) enqueue repeats
+  // 2^sketch_sample_shift times, so the port samples every depth into
+  // every label's sketch once.
+  const std::uint32_t repeats = 1u << cfg.sketch_sample_shift;
+  net::Packet p;
+  p.payload = 1400;
+  auto pass = [&] {
+    std::uint64_t enqueues = 0;
+    for (std::size_t i = 0; i < kPorts; ++i) {
+      const auto port = static_cast<net::PortId>(i);
+      for (std::uint32_t tree = 0; tree <= net::kTreeBuckets; ++tree) {
+        p.dst_mac = tree < net::kTreeBuckets ? net::shadow_mac(1, tree)
+                                             : net::real_mac(1);
+        for (std::uint64_t depth = 1500; depth <= 400 * 1024;
+             depth += 1500) {
+          for (std::uint32_t r = 0; r < repeats; ++r) {
+            mon.on_enqueue(0, port, p, depth);
+            mon.on_tx(0, port, p, depth - 1500);
+            mon.on_drop(0, port, p, net::DropCause::kQueueFull);
+            ++enqueues;
+          }
+        }
+      }
+    }
+    return enqueues;
+  };
+  auto samples = [&mon] {
+    std::uint64_t n = 0;
+    for (const stats::DDSketch& s : mon.label_depth()) n += s.count();
+    return n;
+  };
+  // Warm-up: the label sketches grow their dense ranges over the depths.
+  pass();
+  const std::uint64_t samples_before = samples();
+  const std::uint64_t before = testing::alloc_count();
+  const std::uint64_t enqueues = pass();
+  EXPECT_EQ(testing::alloc_count() - before, 0u);
+  // The measured pass did add its depth samples, and the hooks counted.
+  EXPECT_EQ(samples() - samples_before, enqueues / repeats);
+  const PortReport& r = mon.port(0)->raw();
+  EXPECT_EQ(r.drops[static_cast<std::size_t>(
+                net::counted_cause(net::DropCause::kQueueFull))],
+            2 * enqueues / kPorts);
+  EXPECT_GT(r.microburst_episodes, 0u);
+}
 
 TEST(ControlPlaneAllocs, IdleSnapshotAndDeliveryAllocateNothing) {
   using namespace telemetry::fabric;

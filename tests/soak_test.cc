@@ -185,6 +185,37 @@ TEST(Soak, ManifestRoundTripsThroughJson) {
   }
 }
 
+TEST(Soak, ManifestStringsRoundTripWithEscapes) {
+  // Every escape the writer emits: a quote, a backslash, a newline, a tab
+  // and a control byte.
+  const std::string odd = "q\"b\\n\nt\tc\x01 end";
+  SoakManifest man;
+  man.scenario = "seed=1 " + odd;
+  man.report = "[oracle] " + odd + "\n";
+  man.schemes = {odd};
+  man.disagreements.push_back(Disagreement{3, odd, 10, 20});
+  man.epochs.push_back(EpochRecord{1, sim::kMillisecond, 42,
+                                   0xfedcba9876543210ULL, 7, 0, true});
+  const std::string path = temp_manifest_path("escapes");
+  std::string err;
+  ASSERT_TRUE(man.save(path, &err)) << err;
+  SoakManifest back;
+  ASSERT_TRUE(SoakManifest::load(path, &back, &err)) << err;
+  std::remove(path.c_str());
+
+  EXPECT_EQ(back.scenario, man.scenario);
+  EXPECT_EQ(back.report, man.report);
+  ASSERT_EQ(back.schemes.size(), 1u);
+  EXPECT_EQ(back.schemes[0], odd);
+  ASSERT_EQ(back.disagreements.size(), 1u);
+  EXPECT_EQ(back.disagreements[0].scheme, odd);
+  EXPECT_EQ(back.disagreements[0].best, 20u);
+  ASSERT_EQ(back.epochs.size(), 1u);
+  EXPECT_EQ(back.epochs[0].digest, 0xfedcba9876543210ULL);
+  EXPECT_EQ(back.epochs[0].sim_time, sim::kMillisecond);
+  EXPECT_TRUE(back.epochs[0].audited);
+}
+
 TEST(Soak, ResumeReproducesIdenticalViolationWithMatchingDigests) {
   Scenario sc = long_lived_scenario();
   sc.bug = "eat@100000us:12";
