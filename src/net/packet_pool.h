@@ -1,10 +1,9 @@
 // Freelist arena of Packet objects.
 //
-// The datapath recycles Packet storage instead of copying ~200-byte Packet
-// values through deques and event captures: TxPort parks queued/in-flight
-// frames in pooled slots and schedules events that capture only {this,
-// Packet*} (16 bytes — inline in EventFn, so no per-packet heap
-// allocation), and Host parks jitter-delayed egress segments the same way.
+// Host parks each jitter-delayed egress segment in a pooled slot, so the
+// delay event captures only {this, Packet*} (16 bytes — inline in EventFn,
+// so no per-segment heap allocation) instead of a 152-byte Packet. (TxPort
+// keeps its frames in its own ring; see net/port.h.)
 //
 // No field — sequence numbers, flowcell_id, span_id, SACK blocks,
 // retransmit flags — can leak from one packet incarnation into the next

@@ -15,6 +15,9 @@ Time sat_add(Time a, std::uint64_t b) {
                                                : a + static_cast<Time>(b);
 }
 
+/// Largest bucket sorted by insertion sort; bigger ones are rare.
+constexpr std::size_t kInsertionSortMax = 64;
+
 }  // namespace
 
 Time EventQueue::bucket_end(std::size_t b) const {
@@ -72,19 +75,18 @@ void EventQueue::insert(Time when, std::uint32_t s) {
       add_to_bucket(cur_, when, s);
       return;
     }
-    const Handle h{when,
-                   static_cast<std::uint32_t>(buckets_[cur_].size() +
-                                              spawn_.size()),
-                   s};
+    const Handle h{when, s};
     // Re-entrant schedules are overwhelmingly monotone (at or after the
-    // event being executed), so this is an O(1) append in practice.
-    if (spawn_.empty() || spawn_.back() < h) {
+    // event being executed), so this is an O(1) append in practice. Either
+    // way the entry goes after every spawn entry of its timestamp.
+    if (spawn_.empty() || spawn_.back().when <= when) {
       spawn_.push_back(h);
     } else {
       spawn_.insert(
           std::upper_bound(spawn_.begin() +
                                static_cast<std::ptrdiff_t>(spawn_pos_),
-                           spawn_.end(), h),
+                           spawn_.end(), when,
+                           [](Time t, const Handle& e) { return t < e.when; }),
           h);
     }
     return;
@@ -100,8 +102,7 @@ void EventQueue::insert(Time when, std::uint32_t s) {
 }
 
 void EventQueue::add_to_bucket(std::size_t b, Time when, std::uint32_t s) {
-  std::vector<Handle>& v = buckets_[b];
-  v.push_back(Handle{when, static_cast<std::uint32_t>(v.size()), s});
+  buckets_[b].push_back(Handle{when, s});
   occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
 }
 
@@ -117,7 +118,24 @@ std::size_t EventQueue::next_occupied(std::size_t from) const {
 }
 
 void EventQueue::build_run() {
-  std::sort(buckets_[cur_].begin(), buckets_[cur_].end());
+  std::vector<Handle>& v = buckets_[cur_];
+  if (v.size() <= kInsertionSortMax) {
+    // Dense buckets are small and nearly sorted: each entry moves past only
+    // the earlier entries with a strictly later timestamp.
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      if (!(v[i].when < v[i - 1].when)) continue;
+      const Handle h = v[i];
+      std::size_t j = i;
+      do {
+        v[j] = v[j - 1];
+      } while (--j > 0 && h.when < v[j - 1].when);
+      v[j] = h;
+    }
+  } else {
+    std::stable_sort(v.begin(), v.end(), [](const Handle& a, const Handle& b) {
+      return a.when < b.when;
+    });
+  }
   run_pos_ = 0;
   spawn_.clear();
   spawn_pos_ = 0;
@@ -171,7 +189,8 @@ bool EventQueue::spawn_first() const {
   if (spawn_pos_ >= spawn_.size()) return false;
   const std::vector<Handle>& run = buckets_[cur_];
   if (run_pos_ >= run.size()) return true;
-  return spawn_[spawn_pos_] < run[run_pos_];
+  // Strict: a spawn entry follows every run entry of its timestamp.
+  return spawn_[spawn_pos_].when < run[run_pos_].when;
 }
 
 Time EventQueue::min_time() {

@@ -12,6 +12,13 @@
 // order with FIFO insertion-order tie-break, bit-identical to the reference
 // heap (tests/event_queue_test.cc drives both against each other).
 //
+// A bucket's entries sit in push order, and push order is global (when,
+// seq) order among equal timestamps, so a *stable* sort on `when` alone
+// yields (when, seq) order without storing seq: insertion sort for the
+// small, nearly sorted buckets of a dense run, std::stable_sort above a
+// cutoff. Spawn entries were pushed after every run entry, so they follow
+// run entries of equal timestamp.
+//
 // Each event's callable lives in one slot of a chunked slab from push until
 // its call returns: it is constructed there once and called there, while
 // buckets, runs and the far heap move 16-byte handles (24 in the far heap,
@@ -19,13 +26,14 @@
 // grows the slab by pushing cannot invalidate itself; a slot is freed only
 // after its call returns.
 //
-// Steady-state cost per event is O(1) amortized pushes plus an O(k log k)
-// sort per k-event bucket, with zero heap allocations once bucket capacity
-// and the slab have warmed up (vectors are cleared, never shrunk; freed
-// slots are reused last-in first-out). A 1024-bit occupancy bitmap mirrors
-// which buckets hold events, so reaching the next event across a sparse
-// window costs one word scan per 64 buckets instead of one emptiness test
-// per bucket.
+// Steady-state cost per event is O(1) amortized pushes plus a sort per
+// bucket that is linear in its entries and their inversions, with zero heap
+// allocations once bucket capacity and the slab have warmed up (vectors are
+// cleared, never shrunk; freed slots are reused last-in first-out; only a
+// bucket above the cutoff may make std::stable_sort allocate). A 1024-bit
+// occupancy bitmap mirrors which buckets hold events, so reaching the next
+// event across a sparse window costs one word scan per 64 buckets instead
+// of one emptiness test per bucket.
 #pragma once
 
 #include <cstddef>
@@ -118,17 +126,11 @@ class EventQueue {
     std::uint32_t next_free;
   };
 
-  /// A bucket or spawn-run entry. `ord` is the entry's insertion index in
-  /// its bucket; spawn entries continue the count past the bucket's size.
-  /// Insertion index is monotone in global push order, so (when, ord)
-  /// orders identically to (when, seq) — no need to store seq at all.
+  /// A bucket or spawn-run entry. Its position in its bucket (or spawn
+  /// run) carries the FIFO tie-break, so only `when` is ever compared.
   struct Handle {
     Time when;
-    std::uint32_t ord;
     std::uint32_t slot;
-    bool operator<(const Handle& o) const {
-      return when != o.when ? when < o.when : ord < o.ord;
-    }
   };
 
   /// far_ heap entry. `seq` is the global push order among far events, so
@@ -169,6 +171,7 @@ class EventQueue {
   static Time align_down(Time t);
   /// Ensures the head of the run/spawn_ is the global minimum event.
   void settle();
+  /// Sorts bucket cur_ stably by `when` into its run.
   void build_run();
   void refill_from_far();
   /// True if the spawn head precedes the run head.

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -75,15 +76,13 @@ class Histogram {
   const std::uint64_t* buckets() const { return buckets_; }
 
   /// Bucket index for a sample (shared with snapshot consumers/tests).
+  /// Defined for every double: values from 2^64 up, +inf included, land in
+  /// the last bucket.
   static std::size_t bucket_of(double v) {
     if (!(v >= 1)) return 0;  // also catches NaN and negatives
-    std::size_t i = 1;
-    auto u = static_cast<std::uint64_t>(v);
-    while (u > 1 && i + 1 < kBuckets) {
-      u >>= 1;
-      ++i;
-    }
-    return i;
+    if (v >= 0x1p64) return kBuckets - 1;
+    return static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(v)));
   }
 
  private:

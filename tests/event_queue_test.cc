@@ -167,6 +167,27 @@ TEST(EventQueueTest, DifferentialRandomFarSchedule) {
   }
 }
 
+TEST(EventQueueTest, DifferentialReversedBucketsAroundTheSortCutoff) {
+  // Buckets filled in reverse time order with ties, at sizes on both sides
+  // of the 64-entry insertion-sort cutoff: sorting a bucket by timestamp
+  // must keep each tie in push order, as the oracle's seq does. Ties come
+  // in adjacent pairs, and in a stride-5 pattern that scatters them.
+  constexpr Time kBucket = 256;
+  for (const std::size_t n : {2u, 3u, 17u, 63u, 64u, 65u, 128u, 300u}) {
+    for (const bool scattered : {false, true}) {
+      Differ d;
+      for (Time b = 0; b < 3; ++b) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t rev = n - 1 - i;
+          d.push(b * kBucket +
+                 static_cast<Time>(scattered ? rev % 5 : rev / 2));
+        }
+      }
+      d.drain_and_check();
+    }
+  }
+}
+
 TEST(EventQueueTest, DifferentialSparseWindowSchedules) {
   // A few events scattered over the 1024-bucket window, so nearly every pop
   // follows a run of empty buckets that the occupancy bitmap must skip:

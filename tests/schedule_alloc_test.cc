@@ -60,7 +60,7 @@ TEST(ScheduleAllocs, SteadyStateSelfScheduleAllocatesNothing) {
 // covers the whole run, testbed build included, in a fresh process.
 // Recorded with g++ 12 (Release); the ceiling leaves 10% for another
 // compiler's standard library.
-constexpr std::uint64_t kPinnedAllocs = 85'589;
+constexpr std::uint64_t kPinnedAllocs = 63'743;
 constexpr std::uint64_t kPinnedEvents = 2'812'818;
 constexpr double kAllocsPerEventCeiling =
     1.10 * static_cast<double>(kPinnedAllocs) /
