@@ -27,6 +27,7 @@
 #include "bench_util.h"
 #include "harness/openloop.h"
 #include "lb/registry.h"
+#include "sim/digest.h"
 #include "workload/openloop/generator.h"
 
 using namespace presto;
@@ -78,18 +79,6 @@ harness::OpenLoopResult run_point(harness::Scheme scheme,
 
   return harness::run_openloop(cfg, mix, opt);
 }
-
-/// FNV-1a over the per-run executed-event counts: a cheap cross-rerun
-/// determinism digest for the whole sweep.
-struct Digest {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
 
 }  // namespace
 
@@ -189,7 +178,9 @@ int main(int argc, char** argv) {
 
   std::uint64_t total_offered = 0;
   std::uint64_t total_measured = 0;
-  Digest digest;
+  // Folds every run's executed-event count: a cheap cross-rerun
+  // determinism digest for the whole sweep.
+  sim::Digest digest;
 
   std::printf("Figure 20: open-loop FCT vs offered load (ms, from sketches)\n");
   for (const Pass& pass : passes) {
@@ -227,7 +218,7 @@ int main(int argc, char** argv) {
               !r.fabric_health_json.empty()) {
             agg.fabric_health_json = r.fabric_health_json;
           }
-          digest.fold(r.executed_events);
+          digest.mix(r.executed_events);
         }
         agg.measured_load /= n;
         total_offered += agg.flows_offered;
@@ -278,6 +269,6 @@ int main(int argc, char** argv) {
               "\nsweep determinism digest %016llx\n",
               static_cast<unsigned long long>(total_offered),
               static_cast<unsigned long long>(total_measured),
-              static_cast<unsigned long long>(digest.h));
+              static_cast<unsigned long long>(digest.value()));
   return 0;
 }

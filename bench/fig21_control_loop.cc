@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "sim/digest.h"
 
 using namespace presto;
 using namespace presto::bench;
@@ -176,18 +177,6 @@ Rep run_cell(bool closed, net::TopologyKind topo,
   return out;
 }
 
-/// FNV-1a over per-run executed-event counts (fig20 idiom): a cheap
-/// cross-rerun determinism digest for the whole grid.
-struct Digest {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void fold(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -228,7 +217,9 @@ int main(int argc, char** argv) {
                                           net::TopologyKind::kAsymClos};
   if (have_topo) topos = {only_topo};
 
-  Digest digest;
+  // Folds every run's executed-event count: a cheap cross-rerun
+  // determinism digest for the whole grid.
+  sim::Digest digest;
   std::printf(
       "Figure 21: static vs closed-loop re-weighting under disturbances\n");
   std::printf("%-6s %-8s %-8s %9s %9s %9s %7s %7s %7s\n", "topo", "disturb",
@@ -257,7 +248,7 @@ int main(int argc, char** argv) {
           rtos += r.mice_timeouts;
           pushes += r.pushes;
           damped += r.damped;
-          digest.fold(r.executed);
+          digest.mix(r.executed);
           agg.telemetry.merge(r.rr.telemetry);
           if (agg.fabric_health_json.empty() &&
               !r.rr.fabric_health_json.empty()) {
@@ -299,6 +290,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\ndeterminism digest %016llx\n",
-              static_cast<unsigned long long>(digest.h));
+              static_cast<unsigned long long>(digest.value()));
   return 0;
 }

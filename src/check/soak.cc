@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "telemetry/json.h"
 #include "telemetry/json_parse.h"
@@ -369,19 +368,10 @@ bool SoakManifest::save(const std::string& path, std::string* err) const {
 
 bool SoakManifest::load(const std::string& path, SoakManifest* out,
                         std::string* err) {
-  std::ifstream f(path);
-  if (!f) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  const std::string text = buf.str();
-
   telemetry::JsonValue root;
-  std::string perr;
-  if (!telemetry::parse_json(text, root, perr)) {
-    if (err != nullptr) *err = path + ": " + perr;
+  std::string lerr;
+  if (!telemetry::load_json_file(path, root, lerr)) {
+    if (err != nullptr) *err = lerr;
     return false;
   }
   if (root.str_or("schema", "") != "presto.soak") {

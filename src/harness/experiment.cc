@@ -19,7 +19,6 @@ Experiment::Experiment(ExperimentConfig cfg)
   }
   net::LinkConfig link;
   link.rate_bps = cfg_.link_rate_bps;
-  link.propagation = cfg_.link_propagation;
   link.queue_bytes = cfg_.switch_buffer_bytes;
   net::TopoParams params;
   params.host_link = link;
@@ -261,12 +260,6 @@ std::unique_ptr<lb::SenderLb> Experiment::make_lb(net::HostId h) {
   ctx.tuning.flowcell_random_selection = cfg_.flowcell_random_selection;
   ctx.tuning.path_suspicion = cfg_.edge_suspicion;
   ctx.tuning.suspicion_hold = cfg_.suspicion_hold;
-  ctx.tuning.flowdyn_gap_factor = cfg_.flowdyn_gap_factor;
-  ctx.tuning.flowdyn_min_gap = cfg_.flowdyn_min_gap;
-  ctx.tuning.flowdyn_max_gap = cfg_.flowdyn_max_gap;
-  ctx.tuning.diffflow_threshold_bytes = cfg_.diffflow_threshold_bytes;
-  ctx.tuning.sprinklers_min_cells = cfg_.sprinklers_min_cells;
-  ctx.tuning.sprinklers_max_cells = cfg_.sprinklers_max_cells;
   std::unique_ptr<lb::SenderLb> policy = lb::make_scheme_lb(cfg_.scheme, ctx);
   // Flowcell engines (presto / presto_ecmp) additionally feed the
   // experiment's telemetry session; the registry stays harness-agnostic, so

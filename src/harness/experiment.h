@@ -48,7 +48,6 @@ struct ExperimentConfig {
   /// leaf-spine rate: fabric = link_rate * hosts_per_leaf / (spines * F).
   double oversub_factor = 4.0;
   double link_rate_bps = 10e9;
-  sim::Time link_propagation = 500 * sim::kNanosecond;
   std::uint64_t switch_buffer_bytes = 400 * 1024;
 
   // North-south extension (Table 2): remote users attached to spines over
@@ -56,24 +55,13 @@ struct ExperimentConfig {
   std::uint32_t remote_users_per_spine = 0;
 
   // Scheme parameters.
+  /// Flowlet's inactivity gap; FlowDyn's gap until its first RTT sample.
   sim::Time flowlet_gap = 500 * sim::kMicrosecond;
   lb::MptcpConfig mptcp;
   /// Flowcell threshold for Presto senders (ablation; paper uses 64 KB).
   std::uint32_t flowcell_bytes = net::kMaxTsoBytes;
   /// Ablation: random instead of round-robin label selection per flowcell.
   bool flowcell_random_selection = false;
-  /// FlowDyn: gap = clamp(gap_factor * srtt_ewma, min, max); `flowlet_gap`
-  /// applies until the first RTT sample.
-  double flowdyn_gap_factor = 0.5;
-  sim::Time flowdyn_min_gap = 50 * sim::kMicrosecond;
-  sim::Time flowdyn_max_gap = 5 * sim::kMillisecond;
-  /// DiffFlow: flows beyond this many carried bytes are sprayed as
-  /// flowcells; below it they keep their hashed ECMP path.
-  std::uint64_t diffflow_threshold_bytes = 100 * 1024;
-  /// Sprinklers: hashed stripe sizes span the powers of two in
-  /// [min_cells, max_cells] flowcells.
-  std::uint32_t sprinklers_min_cells = 1;
-  std::uint32_t sprinklers_max_cells = 8;
 
   // Host template (gro is overridden per scheme unless `force_gro` is set).
   host::HostConfig host;

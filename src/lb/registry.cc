@@ -125,9 +125,6 @@ SchemeRegistry::SchemeRegistry() {
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
       FlowDynLb::Config cfg;
       cfg.default_gap = ctx.tuning.flowlet_gap;
-      cfg.gap_factor = ctx.tuning.flowdyn_gap_factor;
-      cfg.min_gap = ctx.tuning.flowdyn_min_gap;
-      cfg.max_gap = ctx.tuning.flowdyn_max_gap;
       return std::make_unique<FlowDynLb>(*ctx.sim, *ctx.labels, cfg, ctx.seed);
     };
     add(std::move(s));
@@ -141,7 +138,6 @@ SchemeRegistry::SchemeRegistry() {
     s.differential_ok = true;
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
       DiffFlowLb::Config cfg;
-      cfg.threshold_bytes = ctx.tuning.diffflow_threshold_bytes;
       cfg.cell_bytes = ctx.tuning.flowcell_bytes;
       return std::make_unique<DiffFlowLb>(*ctx.labels, cfg, ctx.seed);
     };
@@ -157,8 +153,6 @@ SchemeRegistry::SchemeRegistry() {
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
       SprinklersLb::Config cfg;
       cfg.cell_bytes = ctx.tuning.flowcell_bytes;
-      cfg.min_cells = ctx.tuning.sprinklers_min_cells;
-      cfg.max_cells = ctx.tuning.sprinklers_max_cells;
       return std::make_unique<SprinklersLb>(*ctx.labels, cfg, ctx.seed);
     };
     add(std::move(s));

@@ -52,25 +52,15 @@ enum class RxOffload {
 };
 
 /// Scheme tuning knobs forwarded from ExperimentConfig. Defaults mirror
-/// ExperimentConfig so direct factory users get the paper's settings.
+/// ExperimentConfig so direct factory users get the paper's settings. The
+/// rival schemes' own knobs (FlowDyn's gap clamp, DiffFlow's threshold,
+/// Sprinklers' stripe sizes) are their Config defaults.
 struct LbTuning {
   sim::Time flowlet_gap = 500 * sim::kMicrosecond;
   std::uint32_t flowcell_bytes = net::kMaxTsoBytes;
   bool flowcell_random_selection = false;
   bool path_suspicion = false;
   sim::Time suspicion_hold = 5 * sim::kMillisecond;
-  /// FlowDyn: gap = clamp(gap_factor * srtt_ewma, min_gap, max_gap);
-  /// `flowlet_gap` serves as the gap until the first RTT sample lands.
-  double flowdyn_gap_factor = 0.5;
-  sim::Time flowdyn_min_gap = 50 * sim::kMicrosecond;
-  sim::Time flowdyn_max_gap = 5 * sim::kMillisecond;
-  /// DiffFlow: flows stay on their ECMP path until they have carried this
-  /// many bytes; beyond it they are sprayed as flowcells.
-  std::uint64_t diffflow_threshold_bytes = 100 * 1024;
-  /// Sprinklers: per-(flow, stripe) hashed stripe sizes, in flowcells,
-  /// drawn from the powers of two in [min_cells, max_cells].
-  std::uint32_t sprinklers_min_cells = 1;
-  std::uint32_t sprinklers_max_cells = 8;
 };
 
 /// Everything a scheme factory may need to build one host's sender policy.

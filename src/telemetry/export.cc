@@ -177,25 +177,4 @@ std::string export_timeseries_csv(const TimeSeriesSampler& sampler) {
   return out;
 }
 
-std::string export_spans_csv(const SpanTracer& spans) {
-  std::string out =
-      "span,src_host,dst_host,src_port,dst_port,flowcell,label_tree,"
-      "start_seq,end_seq,opened_ns,closed_ns,dropped,evicted\n";
-  char buf[256];
-  for (const Span& s : spans.spans()) {
-    std::snprintf(buf, sizeof(buf),
-                  "%u,%u,%u,%u,%u,%llu,%d,%llu,%llu,%lld,%lld,%d,%d\n", s.id,
-                  s.flow.src_host, s.flow.dst_host, s.flow.src_port,
-                  s.flow.dst_port, static_cast<unsigned long long>(s.flowcell),
-                  label_tree(s.label),
-                  static_cast<unsigned long long>(s.start_seq),
-                  static_cast<unsigned long long>(s.end_seq),
-                  static_cast<long long>(s.opened),
-                  static_cast<long long>(s.closed), s.dropped ? 1 : 0,
-                  s.evicted ? 1 : 0);
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace presto::telemetry

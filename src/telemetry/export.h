@@ -1,14 +1,14 @@
 // Flight recorder, part 3: on-disk formats.
 //
-// Two consumers, two formats:
+// Two formats:
 //  - `export_perfetto_json` emits the Chrome/Perfetto legacy trace-event
 //    JSON (load at https://ui.perfetto.dev): every sampled TimeSeries
 //    becomes a counter track ("C" events) and every flowcell span becomes a
 //    nestable async slice ("b"/"e") whose per-hop annotations are instant
 //    events ("n") carrying {kind, node, port, seq, bytes} args. Timestamps
-//    are virtual microseconds.
-//  - `export_timeseries_csv` / `export_spans_csv` emit flat CSV for
-//    plotting scripts (fig19 recovery curves) and for tools/trace_stats.
+//    are virtual microseconds. `tools/report spans` reads it back.
+//  - `export_timeseries_csv` emits flat CSV for plotting scripts (fig19
+//    recovery curves).
 //
 // All output is deterministic: series sorted by name, spans/events in id
 // order, doubles via JsonWriter's %.17g.
@@ -28,9 +28,5 @@ std::string export_perfetto_json(const TimeSeriesSampler* sampler,
 /// Header `series,t_ns,value`; one row per retained point, series sorted by
 /// name, points oldest first.
 std::string export_timeseries_csv(const TimeSeriesSampler& sampler);
-
-/// Header `span,src_host,dst_host,src_port,dst_port,flowcell,label_tree,`
-/// `start_seq,end_seq,opened_ns,closed_ns,dropped,evicted`; one row per span.
-std::string export_spans_csv(const SpanTracer& spans);
 
 }  // namespace presto::telemetry

@@ -1,6 +1,9 @@
 #include "telemetry/json_parse.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace presto::telemetry {
 namespace {
@@ -41,6 +44,10 @@ class JsonParser {
     if (pos_ != text_.size()) return fail("trailing data");
     return true;
   }
+
+  /// Byte offset of the failure after parse() returned false: every
+  /// failing step returns at once, so the cursor stays where fail() saw it.
+  std::size_t offset() const { return pos_; }
 
  private:
   static constexpr int kMaxDepth = 64;
@@ -229,6 +236,27 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error) {
   out = JsonValue::make_null();
   JsonParser p(text, error);
   return p.parse(out);
+}
+
+bool load_json_file(const std::string& path, JsonValue& out,
+                    std::string& error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    error = "cannot open " + path;
+    return false;
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+
+  out = JsonValue::make_null();
+  std::string message;
+  JsonParser p(text, message);
+  if (p.parse(out)) return true;
+  const std::string_view parsed = std::string_view(text).substr(0, p.offset());
+  const auto line = 1 + std::count(parsed.begin(), parsed.end(), '\n');
+  error = path + ":" + std::to_string(line) + ": " + message;
+  return false;
 }
 
 }  // namespace presto::telemetry

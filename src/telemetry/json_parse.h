@@ -1,8 +1,11 @@
 // Minimal recursive-descent JSON reader (no external dependencies) — just
-// enough to load the flight recorder's own trace.json back into
-// tools/trace_stats. Accepts strict JSON; numbers parse as double (the
+// enough to load the simulator's own artifacts back: flight-recorder
+// trace.json and fabric_health documents for tools/report, soak manifests
+// for check::SoakManifest. Accepts strict JSON; numbers parse as double (the
 // exporter's %.17g round-trips exactly). Not built for adversarial input:
 // depth is bounded, errors carry a byte offset, and that's it.
+// load_json_file() is the one path from a file to a JsonValue; it turns the
+// offset into a `<path>:<line>:` prefix.
 #pragma once
 
 #include <cstddef>
@@ -51,5 +54,10 @@ class JsonValue {
 /// Parses `text` into `out`. On failure returns false and sets `error` to
 /// "message at offset N".
 bool parse_json(std::string_view text, JsonValue& out, std::string& error);
+
+/// Reads and parses the file at `path`. On failure returns false and sets
+/// `error` to "cannot open <path>" or "<path>:<line>: message at offset N".
+bool load_json_file(const std::string& path, JsonValue& out,
+                    std::string& error);
 
 }  // namespace presto::telemetry

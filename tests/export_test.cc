@@ -1,7 +1,11 @@
 // Exporter tests: Perfetto trace.json structure (golden for a tiny
-// hand-built recorder), CSV golden files, and json_parse round-trips of the
-// exporter's own output.
+// hand-built recorder), the time-series CSV golden, json_parse round-trips
+// of the exporter's own output, and load_json_file's file errors.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
 
 #include "net/types.h"
 #include "sim/simulation.h"
@@ -124,14 +128,6 @@ TEST(ExportCsv, TimeSeriesGolden) {
             "q.depth,2000,20\n");
 }
 
-TEST(ExportCsv, SpansGolden) {
-  TinyRecorder r;
-  EXPECT_EQ(export_spans_csv(r.spans),
-            "span,src_host,dst_host,src_port,dst_port,flowcell,label_tree,"
-            "start_seq,end_seq,opened_ns,closed_ns,dropped,evicted\n"
-            "1,3,7,1000,2000,42,2,64000,65500,100,400,0,0\n");
-}
-
 TEST(JsonParse, ParsesScalarsContainersAndEscapes) {
   JsonValue v;
   std::string error;
@@ -169,6 +165,45 @@ TEST(JsonParse, RoundTripsSeventeenDigitDoubles) {
   ASSERT_TRUE(parse_json("[0.1234567890123456789, 1e308]", v, error));
   EXPECT_EQ(v.as_array()[0].as_double(), 0.1234567890123456789);
   EXPECT_EQ(v.as_array()[1].as_double(), 1e308);
+}
+
+/// Writes `text` to a file in the test temp dir unique to this process.
+std::string write_temp(const char* name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "export_test." +
+                           std::to_string(::getpid()) + "." + name;
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+TEST(JsonParse, LoadFilePrefixesErrorsWithPathAndLine) {
+  const std::string path =
+      write_temp("bad.json", "{\n  \"a\": 1,\n  \"b\": }\n");
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(load_json_file(path, v, error));
+  std::remove(path.c_str());
+  EXPECT_EQ(error.rfind(path + ":3: ", 0), 0u) << error;
+  EXPECT_NE(error.find("expected number at offset 19"), std::string::npos)
+      << error;
+}
+
+TEST(JsonParse, LoadFileFailsOnAMissingFile) {
+  const std::string path = ::testing::TempDir() + "export_test.missing.json";
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(load_json_file(path, v, error));
+  EXPECT_EQ(error, "cannot open " + path);
+}
+
+TEST(JsonParse, LoadFileParsesAValidFile) {
+  const std::string path =
+      write_temp("good.json", "{\"schema\": \"presto.soak\",\n \"n\": [1, 2]}");
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(load_json_file(path, v, error)) << error;
+  std::remove(path.c_str());
+  EXPECT_EQ(v.str_or("schema", ""), "presto.soak");
+  EXPECT_EQ(v.get("n").as_array().size(), 2u);
 }
 
 }  // namespace
