@@ -404,14 +404,14 @@ void Checker::receiver_checks() {
     ex_.host(h).for_each_receiver([&](tcp::TcpReceiver& r) {
       const net::FlowKey& flow = r.flow();
       const std::uint64_t rcv_nxt = r.delivered();
-      const auto ooo = r.out_of_order().snapshot();
-      if (!ooo.empty() && ooo.front().first <= rcv_nxt) {
+      const tcp::RangeSet& ooo = r.out_of_order();
+      if (!ooo.empty() && ooo.begin()->first <= rcv_nxt) {
         add_violation(
             OracleKind::kTcp,
             strf("%s receiver holds out-of-order range [%" PRIu64
                  ", %" PRIu64 ") at/below its frontier %" PRIu64,
-                 flow_name(flow).c_str(), ooo.front().first,
-                 ooo.front().second, rcv_nxt));
+                 flow_name(flow).c_str(), ooo.begin()->first,
+                 ooo.begin()->second, rcv_nxt));
       }
       const auto it = flows_.find(flow);
       if (rcv_nxt > 0 &&
@@ -529,7 +529,7 @@ void Checker::finish(bool drained) {
 
   if (opt_.gro) {
     for (const auto& [flow, fa] : flows_) {
-      if (fa.arrived.snapshot() != fa.pushed.snapshot()) {
+      if (fa.arrived != fa.pushed) {
         add_violation(
             OracleKind::kGro,
             strf("%s: GRO never pushed everything that arrived (%" PRIu64

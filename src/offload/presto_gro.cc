@@ -5,7 +5,12 @@
 namespace presto::offload {
 
 void PrestoGro::on_packet(const net::Packet& p, sim::Time now) {
-  FlowState& f = flows_[p.flow];
+  // A poll's packets come in runs of one flow; flows_ nodes never move and
+  // are never erased, so the last lookup stays valid.
+  if (last_flow_ == nullptr || !(last_flow_->first == p.flow)) {
+    last_flow_ = &*flows_.try_emplace(p.flow).first;
+  }
+  FlowState& f = last_flow_->second;
   // Try to merge into an existing segment. Newest segments sit at the back,
   // and in-order traffic almost always appends to the newest one, so a
   // backward scan is typically O(1) (the paper keeps the list in reverse
@@ -26,13 +31,19 @@ void PrestoGro::on_packet(const net::Packet& p, sim::Time now) {
   }
   // No merge possible: keep existing segments (unlike stock GRO) and start a
   // new segment from this packet.
+  if (f.segments.empty()) ++busy_flows_;
   f.segments.push_back(segment_from(p, now));
 }
 
 void PrestoGro::flush(sim::Time now) {
   held_count_ = 0;
-  for (auto& [flow, f] : flows_) {
+  // Only busy flows hold segments: stop after the last of them. The walk
+  // visits them in flows_'s order, which fixes the push order.
+  std::size_t busy_left = busy_flows_;
+  for (auto it = flows_.begin(); busy_left > 0; ++it) {
+    FlowState& f = it->second;
     if (f.segments.empty()) continue;
+    --busy_left;
     // Reordering can leave the list slightly out of order; sort by sequence
     // number so the walk below sees segments lowest-first (Algorithm 2
     // runs an insertion sort for the same purpose).
@@ -41,7 +52,8 @@ void PrestoGro::flush(sim::Time now) {
                 return a.start_seq != b.start_seq ? a.start_seq < b.start_seq
                                                   : a.flowcell < b.flowcell;
               });
-    std::vector<Segment> held;
+    // Held segments are compacted to the front of the list in place.
+    std::size_t kept = 0;
     for (Segment& s : f.segments) {
       if (s.flowcell == f.last_flowcell) {
         // Same flowcell as the newest in-order data: packets of one flowcell
@@ -81,7 +93,7 @@ void PrestoGro::flush(sim::Time now) {
           if (s.held_since < 0) s.held_since = now;
           ++push_stats_.held;
           note_hold();
-          held.push_back(s);
+          f.segments[kept++] = s;
         }
       } else {
         // Stale flowcell ID: a retransmission of old data — or the late
@@ -97,8 +109,9 @@ void PrestoGro::flush(sim::Time now) {
         push_up(s, FlushCause::kStale, now);
       }
     }
-    f.segments = std::move(held);
-    held_count_ += f.segments.size();
+    f.segments.resize(kept);
+    held_count_ += kept;
+    if (kept == 0) --busy_flows_;
   }
 }
 

@@ -11,6 +11,13 @@
 //     reordering durations (with a beta "recently merged" hold extension);
 //   * retransmissions are pushed up immediately (stale flowcell IDs, or
 //     overlap with already-delivered bytes).
+//
+// Cost: flows are never forgotten, so flush() counts the flows holding
+// segments and stops after the last of them, visiting flows in the flow
+// table's order. That order is the order of pushes, hence of ACKs and of
+// every later event, so it must not change (DESIGN.md §11). A flow's
+// segment list keeps its capacity across polls: once warm, the engine
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +100,14 @@ class PrestoGro : public GroEngine {
     return f.ewma_ns > 0 ? f.ewma_ns : static_cast<double>(cfg_.initial_ewma);
   }
 
+  using FlowMap = std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash>;
+
   PrestoGroConfig cfg_;
-  std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash> flows_;
+  FlowMap flows_;
+  /// The entry on_packet looked up last (null before the first packet).
+  FlowMap::value_type* last_flow_ = nullptr;
+  /// Flows whose segment list is non-empty.
+  std::size_t busy_flows_ = 0;
   std::size_t held_count_ = 0;
   std::uint64_t ewma_samples_ = 0;
   PushStats push_stats_;

@@ -1,51 +1,61 @@
 // Ordered set of disjoint half-open byte ranges [start, end).
 //
-// Used for the receiver's out-of-order store and the sender's SACK
-// scoreboard. Ranges merge on insert; queries are O(log n).
+// Used for the receiver's out-of-order store, the sender's SACK scoreboard
+// and the checker's byte books. The ranges live in one flat vector sorted by
+// start; no two of them overlap or touch, so the set has exactly one form.
+// Lookups are binary searches, O(log n). A merge or prefix erase shifts the
+// tail of the vector, O(n) in the worst case, but the sets seen in practice
+// hold tens of ranges (a few hundred at most), and an in-order extension
+// rewrites one range in place: once the vector has grown, nothing allocates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 namespace presto::tcp {
 
 class RangeSet {
  public:
+  using Range = std::pair<std::uint64_t, std::uint64_t>;  // [start, end)
+  using const_iterator = std::vector<Range>::const_iterator;
+
   /// Inserts [start, end), merging with overlapping/adjacent ranges.
   void add(std::uint64_t start, std::uint64_t end) {
     if (start >= end) return;
-    auto it = ranges_.upper_bound(start);
-    if (it != ranges_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= start) {
-        start = prev->first;
-        end = std::max(end, prev->second);
-        it = ranges_.erase(prev);
-      }
+    // Ends ascend with starts, so the first range ending at/after `start` is
+    // the first one that can touch [start, end).
+    auto first = std::partition_point(
+        ranges_.begin(), ranges_.end(),
+        [start](const Range& r) { return r.second < start; });
+    if (first == ranges_.end() || first->first > end) {
+      ranges_.insert(first, Range{start, end});
+      return;
     }
-    while (it != ranges_.end() && it->first <= end) {
-      end = std::max(end, it->second);
-      it = ranges_.erase(it);
-    }
-    ranges_.emplace(start, end);
+    auto last = std::next(first);
+    while (last != ranges_.end() && last->first <= end) ++last;
+    first->first = std::min(first->first, start);
+    first->second = std::max(end, std::prev(last)->second);
+    ranges_.erase(std::next(first), last);
   }
 
   /// Removes all bytes below `seq`.
   void trim_below(std::uint64_t seq) {
-    auto it = ranges_.begin();
-    while (it != ranges_.end() && it->second <= seq) it = ranges_.erase(it);
-    if (it != ranges_.end() && it->first < seq) {
-      std::uint64_t end = it->second;
-      ranges_.erase(it);
-      ranges_.emplace(seq, end);
+    ranges_.erase(ranges_.begin(),
+                  std::partition_point(
+                      ranges_.begin(), ranges_.end(),
+                      [seq](const Range& r) { return r.second <= seq; }));
+    if (!ranges_.empty() && ranges_.front().first < seq) {
+      ranges_.front().first = seq;
     }
   }
 
   /// True if every byte of [start, end) is present.
   bool covers(std::uint64_t start, std::uint64_t end) const {
     if (start >= end) return true;
-    auto it = ranges_.upper_bound(start);
+    auto it = upper_bound(start);
     if (it == ranges_.begin()) return false;
     --it;
     return it->first <= start && end <= it->second;
@@ -54,7 +64,7 @@ class RangeSet {
   /// True if any byte of [start, end) is present.
   bool intersects(std::uint64_t start, std::uint64_t end) const {
     if (start >= end) return false;
-    auto it = ranges_.upper_bound(start);
+    auto it = upper_bound(start);
     if (it != ranges_.begin() && std::prev(it)->second > start) return true;
     return it != ranges_.end() && it->first < end;
   }
@@ -65,16 +75,16 @@ class RangeSet {
   /// a receiver's out-of-order store never reports data below rcv_nxt.
   std::uint64_t advance(std::uint64_t seq) {
     auto it = ranges_.begin();
-    while (it != ranges_.end() && it->first <= seq) {
+    for (; it != ranges_.end() && it->first <= seq; ++it) {
       seq = std::max(seq, it->second);
-      it = ranges_.erase(it);
     }
+    ranges_.erase(ranges_.begin(), it);
     return seq;
   }
 
   /// End of the range containing `seq`, or `seq` itself if absent.
   std::uint64_t end_of_range_containing(std::uint64_t seq) const {
-    auto it = ranges_.upper_bound(seq);
+    auto it = upper_bound(seq);
     if (it == ranges_.begin()) return seq;
     --it;
     return (it->first <= seq && seq < it->second) ? it->second : seq;
@@ -83,7 +93,11 @@ class RangeSet {
   /// Start of the first range at/above `seq`, or `missing` if none.
   std::uint64_t first_start_above(std::uint64_t seq,
                                   std::uint64_t missing) const {
-    auto it = ranges_.lower_bound(seq + 1);
+    // First range starting at/above seq + 1 (wraps to the first range when
+    // seq is the largest value).
+    auto it = std::partition_point(
+        ranges_.begin(), ranges_.end(),
+        [key = seq + 1](const Range& r) { return r.first < key; });
     // A range containing seq+ may start at/before seq.
     if (it != ranges_.begin() && std::prev(it)->second > seq) {
       return std::prev(it)->first > seq ? std::prev(it)->first : seq;
@@ -94,7 +108,7 @@ class RangeSet {
   /// Total bytes contained in [lo, hi).
   std::uint64_t bytes_in(std::uint64_t lo, std::uint64_t hi) const {
     std::uint64_t total = 0;
-    auto it = ranges_.upper_bound(lo);
+    auto it = upper_bound(lo);
     if (it != ranges_.begin()) --it;
     for (; it != ranges_.end() && it->first < hi; ++it) {
       const std::uint64_t s = std::max(it->first, lo);
@@ -108,13 +122,21 @@ class RangeSet {
   bool empty() const { return ranges_.empty(); }
   std::size_t size() const { return ranges_.size(); }
 
-  /// Snapshot of ranges in ascending order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> snapshot() const {
-    return {ranges_.begin(), ranges_.end()};
-  }
+  /// The ranges in ascending order.
+  const_iterator begin() const { return ranges_.begin(); }
+  const_iterator end() const { return ranges_.end(); }
+
+  bool operator==(const RangeSet&) const = default;
 
  private:
-  std::map<std::uint64_t, std::uint64_t> ranges_;  // start -> end
+  /// First range starting above `seq`.
+  const_iterator upper_bound(std::uint64_t seq) const {
+    return std::partition_point(
+        ranges_.begin(), ranges_.end(),
+        [seq](const Range& r) { return r.first <= seq; });
+  }
+
+  std::vector<Range> ranges_;  // sorted by start; disjoint, non-touching
 };
 
 }  // namespace presto::tcp

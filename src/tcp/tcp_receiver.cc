@@ -22,7 +22,7 @@ void TcpReceiver::on_segment(const offload::Segment& s) {
     // The SACK block reported first is the (possibly merged) range that the
     // just-received segment landed in.
     latest_sack_ = net::SackBlock{s.start_seq, s.end_seq};
-    for (const auto& [start, end] : ooo_.snapshot()) {
+    for (const auto& [start, end] : ooo_) {
       if (start <= s.start_seq && s.start_seq < end) {
         latest_sack_ = net::SackBlock{start, end};
         break;
@@ -58,7 +58,7 @@ void TcpReceiver::send_ack(const offload::Segment& trigger) {
       n < ack.sack.size()) {
     ack.sack[n++] = latest_sack_;
   }
-  for (const auto& [start, end] : ooo_.snapshot()) {
+  for (const auto& [start, end] : ooo_) {
     if (n >= ack.sack.size()) break;
     if (start == latest_sack_.start && end == latest_sack_.end) continue;
     ack.sack[n++] = net::SackBlock{start, end};

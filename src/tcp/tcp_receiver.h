@@ -53,7 +53,7 @@ class TcpReceiver {
   void digest_state(sim::Digest& d) const {
     d.mix(data_flow_.hash());
     d.mix(rcv_nxt_);
-    for (const auto& [start, end] : ooo_.snapshot()) {
+    for (const auto& [start, end] : ooo_) {
       d.mix(start);
       d.mix(end);
     }

@@ -1,6 +1,7 @@
 #include "tcp/tcp_sender.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace presto::tcp {
 
@@ -242,10 +243,11 @@ bool TcpSender::check_invariants(std::string* why) const {
   if (snd_high_ > stream_end_) fail("snd_high > stream_end");
   // SACK scoreboard lives inside the outstanding window; anything below
   // snd_una must have been trimmed, anything above snd_nxt never inserted.
-  const auto ranges = sacked_.snapshot();
-  if (!ranges.empty()) {
-    if (ranges.front().first < snd_una_) fail("SACK range below snd_una");
-    if (ranges.back().second > snd_nxt_) fail("SACK range above snd_nxt");
+  if (!sacked_.empty()) {
+    if (sacked_.begin()->first < snd_una_) fail("SACK range below snd_una");
+    if (std::prev(sacked_.end())->second > snd_nxt_) {
+      fail("SACK range above snd_nxt");
+    }
   }
   if (fack_ > snd_nxt_) fail("fack above snd_nxt");
   if (in_recovery_) {
@@ -266,7 +268,7 @@ bool TcpSender::check_invariants(std::string* why) const {
   }
   // A sender with nothing outstanding must have an empty scoreboard
   // (otherwise the pipe computation stays inflated and the flow can stall).
-  if (snd_una_ == snd_nxt_ && !ranges.empty()) {
+  if (snd_una_ == snd_nxt_ && !sacked_.empty()) {
     fail("idle sender with non-empty SACK scoreboard");
   }
   return ok;
@@ -302,7 +304,7 @@ void TcpSender::digest_state(sim::Digest& d) const {
   d.mix(retx_pending_);
   d.mix(in_recovery_ ? recover_ : ~0ULL);
   d.mix(dupacks_);
-  for (const auto& [start, end] : sacked_.snapshot()) {
+  for (const auto& [start, end] : sacked_) {
     d.mix(start);
     d.mix(end);
   }

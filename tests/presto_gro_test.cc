@@ -374,6 +374,117 @@ TEST_F(PrestoGroTest, MultipleFlowsIndependentState) {
   EXPECT_EQ(pushed_.size(), 2u);
 }
 
+// flush() stops after the last flow holding segments. Many flows, a random
+// subset of them per poll, and flowcells that alternate between two paths,
+// so some flows hold segments across flushes while others go idle. With
+// the timeout parked and no loss, after every flush each flow must have
+// pushed exactly its contiguous offered prefix, in order, and hold one
+// segment per flowcell with bytes beyond it: a skipped busy flow falls
+// behind its prefix, and a miscounted walk runs off the flow table.
+TEST_F(PrestoGroTest, ManyFlowsFlushSkipsNoBusyFlow) {
+  constexpr int kFlows = 48;
+  constexpr std::uint64_t kFlowcells = 10;
+  constexpr std::uint64_t kPktsPer = 4;
+  constexpr std::uint64_t kMss = 1448;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    PrestoGroConfig cfg;
+    cfg.alpha = 1e9;  // timeout parked: masking logic only (see above)
+    reset(cfg);
+    sim::Rng rng(seed);
+
+    struct Flow {
+      std::vector<net::Packet> path[2];  // even / odd flowcells, in order
+      std::size_t next[2] = {0, 0};
+      std::vector<bool> arrived;          // per packet index
+      std::uint64_t pushed_end = 0;
+      bool done() const {
+        return next[0] == path[0].size() && next[1] == path[1].size();
+      }
+    };
+    std::vector<Flow> flows(kFlows);
+    for (int i = 0; i < kFlows; ++i) {
+      Flow& f = flows[static_cast<std::size_t>(i)];
+      f.arrived.assign(kFlowcells * kPktsPer, false);
+      for (std::uint64_t fc = 1; fc <= kFlowcells; ++fc) {
+        for (std::uint64_t k = 0; k < kPktsPer; ++k) {
+          net::Packet p = pkt(((fc - 1) * kPktsPer + k) * kMss, kMss, fc);
+          p.flow.src_port = 20000 + static_cast<std::uint32_t>(i);
+          f.path[fc % 2].push_back(p);
+        }
+      }
+    }
+    auto flow_of = [](const net::FlowKey& key) {
+      return static_cast<std::size_t>(key.src_port - 20000);
+    };
+
+    sim::Time now = 0;
+    for (int poll = 0;; ++poll) {
+      // A random subset of the unfinished flows sends a burst from one
+      // path; the bursts interleave at random, each path staying in order.
+      std::vector<std::vector<net::Packet>> bursts;
+      bool unfinished = false;
+      for (Flow& f : flows) {
+        if (f.done()) continue;
+        unfinished = true;
+        if (rng.below(4) != 0) continue;
+        int which = static_cast<int>(rng.below(2));
+        if (f.next[which] == f.path[which].size()) which = 1 - which;
+        std::vector<net::Packet> burst;
+        for (std::uint64_t k = 1 + rng.below(3);
+             k > 0 && f.next[which] < f.path[which].size(); --k) {
+          burst.push_back(f.path[which][f.next[which]++]);
+        }
+        std::reverse(burst.begin(), burst.end());
+        bursts.push_back(std::move(burst));
+      }
+      if (!unfinished) break;
+      while (!bursts.empty()) {
+        const std::size_t b = rng.below(bursts.size());
+        const net::Packet p = bursts[b].back();
+        bursts[b].pop_back();
+        if (bursts[b].empty()) bursts.erase(bursts.begin() + b);
+        flows[flow_of(p.flow)].arrived[p.seq / kMss] = true;
+        gro_->on_packet(p, now);
+      }
+      const std::size_t first_new = pushed_.size();
+      gro_->flush(now);
+      now += static_cast<sim::Time>(1 + rng.below(20)) * sim::kMicrosecond;
+
+      for (std::size_t i = first_new; i < pushed_.size(); ++i) {
+        Flow& f = flows[flow_of(pushed_[i].flow)];
+        ASSERT_EQ(pushed_[i].start_seq, f.pushed_end)
+            << "seed " << seed << " poll " << poll << ": out of order";
+        f.pushed_end = pushed_[i].end_seq;
+      }
+      std::size_t held = 0;
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        const Flow& f = flows[i];
+        std::size_t prefix = 0;
+        while (prefix < f.arrived.size() && f.arrived[prefix]) ++prefix;
+        ASSERT_EQ(f.pushed_end, prefix * kMss)
+            << "seed " << seed << " poll " << poll << " flow " << i;
+        // One held segment per flowcell with bytes past the prefix.
+        std::uint64_t last_fc = 0;
+        for (std::size_t k = prefix; k < f.arrived.size(); ++k) {
+          const std::uint64_t fc = k / kPktsPer + 1;
+          if (f.arrived[k] && fc != last_fc) {
+            ++held;
+            last_fc = fc;
+          }
+        }
+      }
+      ASSERT_EQ(gro_->held_segments(), held)
+          << "seed " << seed << " poll " << poll;
+      ASSERT_EQ(gro_->has_held_segments(), held > 0);
+    }
+    for (const Flow& f : flows) {
+      EXPECT_EQ(f.pushed_end, kFlowcells * kPktsPer * kMss);
+    }
+    EXPECT_FALSE(gro_->has_held_segments());
+    EXPECT_GT(gro_->push_stats().held, 0u);
+  }
+}
+
 // Property sweep: arbitrary interleavings of two paths' flowcell streams,
 // no loss => in-order delivery of every byte, no held leftovers after the
 // final fill, regardless of seed.

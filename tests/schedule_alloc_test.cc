@@ -1,11 +1,13 @@
-// Allocation guards for the schedule path (DESIGN.md §11). A counting global
-// operator new (alloc_count.cc, the perfbench idiom) sees every allocation
-// the simulator makes. Once the ladder queue's bucket vectors and the slot
-// slab have warmed up, a self-rescheduling chain with 48-byte captures
-// allocates nothing: each capture is constructed inline, in the slot its
-// predecessor freed. A pinned end-to-end run holds its allocations per
-// executed event under a ceiling, which the bare chain cannot: a datapath
-// event whose capture outgrows the inline budget allocates on every hop.
+// Allocation guards for the schedule and receive paths (DESIGN.md §11). A
+// counting global operator new (alloc_count.cc, the perfbench idiom) sees
+// every allocation the simulator makes. Once the ladder queue's bucket
+// vectors and the slot slab have warmed up, a self-rescheduling chain with
+// 48-byte captures allocates nothing: each capture is constructed inline, in
+// the slot its predecessor freed. Likewise a warm RangeSet and a warm
+// PrestoGro reuse their storage. A pinned end-to-end run holds its
+// allocations per executed event under a ceiling, which the bare chain
+// cannot: a datapath event whose capture outgrows the inline budget
+// allocates on every hop.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -15,8 +17,10 @@
 
 #include "alloc_count.h"
 #include "harness/runners.h"
+#include "offload/presto_gro.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "tcp/range_set.h"
 
 namespace presto {
 namespace {
@@ -59,8 +63,9 @@ TEST(ScheduleAllocs, SteadyStateSelfScheduleAllocatesNothing) {
 // the fabric monitors on every switch port flushing every 5 ms. The count
 // covers the whole run, testbed build included, in a fresh process.
 // Recorded with g++ 12 (Release); the ceiling leaves 10% for another
-// compiler's standard library.
-constexpr std::uint64_t kPinnedAllocs = 63'743;
+// compiler's standard library. Most of what remains is the testbed build;
+// a receive path that reallocated per flush would add tens of thousands.
+constexpr std::uint64_t kPinnedAllocs = 6'967;
 constexpr std::uint64_t kPinnedEvents = 2'812'818;
 constexpr double kAllocsPerEventCeiling =
     1.10 * static_cast<double>(kPinnedAllocs) /
@@ -93,6 +98,80 @@ TEST(ScheduleAllocs, PinnedRunStaysUnderItsAllocationCeiling) {
             kAllocsPerEventCeiling)
       << allocs << " allocations for " << r.executed_events
       << " events; pinned " << kPinnedAllocs << " for " << kPinnedEvents;
+}
+
+constexpr std::uint64_t kMss = 1448;
+
+// One SACK-scoreboard-like round above `base`: 64 blocks land in scrambled
+// order, the holes between them fill (each fill merges two neighbours), the
+// cumulative point trims the set one block at a time and then advances
+// through the rest. Every round has the same shape and ends empty.
+void range_set_round(tcp::RangeSet& rs, std::uint64_t base) {
+  constexpr std::uint64_t kBlocks = 64;
+  for (std::uint64_t k = 0; k < kBlocks; ++k) {
+    const std::uint64_t b = (k * 37) % kBlocks;
+    rs.add(base + (4 * b + 1) * kMss, base + (4 * b + 2) * kMss);
+  }
+  for (std::uint64_t b = 0; b < kBlocks; b += 2) {
+    rs.add(base + (4 * b + 2) * kMss, base + (4 * b + 5) * kMss);
+  }
+  for (std::uint64_t b = 0; b < kBlocks / 2; ++b) {
+    rs.trim_below(base + 4 * b * kMss);
+  }
+  rs.advance(base + 4 * kBlocks * kMss);
+}
+
+TEST(ReceivePathAllocs, WarmRangeSetAllocatesNothing) {
+  tcp::RangeSet rs;
+  range_set_round(rs, 0);  // warm-up: grows the vector to the round's peak
+  ASSERT_TRUE(rs.empty());
+  const std::uint64_t before = testing::alloc_count();
+  for (std::uint64_t r = 1; r <= 1000; ++r) range_set_round(rs, r << 20);
+  EXPECT_EQ(testing::alloc_count() - before, 0u);
+  EXPECT_TRUE(rs.empty());
+}
+
+TEST(ReceivePathAllocs, WarmPrestoGroAllocatesNothing) {
+  constexpr std::uint32_t kFlows = 8;
+  constexpr std::uint64_t kPktsPer = 4;
+  std::uint64_t pushed_bytes = 0;
+  offload::PrestoGro gro(
+      [&pushed_bytes](offload::Segment s) { pushed_bytes += s.bytes(); });
+  sim::Time now = 0;
+  std::uint64_t held = 0;
+  auto offer_cell = [&](std::uint64_t cell) {
+    for (std::uint32_t f = 0; f < kFlows; ++f) {
+      for (std::uint64_t k = 0; k < kPktsPer; ++k) {
+        net::Packet p;
+        p.flow = net::FlowKey{0, 1, 10000 + f, 80};
+        p.seq = ((cell - 1) * kPktsPer + k) * kMss;
+        p.payload = kMss;
+        p.flowcell_id = cell;
+        gro.on_packet(p, now);
+      }
+    }
+  };
+  // Round r: every flow's flowcell 2r + 2 overtakes 2r + 1 and is held at
+  // the boundary for one poll; the next poll fills the gap and both push.
+  auto round = [&](std::uint64_t r) {
+    offer_cell(2 * r + 2);
+    gro.flush(now);
+    held += gro.held_segments();
+    now += sim::kMicrosecond;
+    offer_cell(2 * r + 1);
+    gro.flush(now);
+    now += sim::kMicrosecond;
+  };
+  // Warm-up: the flow table and every flow's segment list grow.
+  round(0);
+  round(1);
+  const std::uint64_t before = testing::alloc_count();
+  constexpr std::uint64_t kRounds = 1000;
+  for (std::uint64_t r = 2; r < 2 + kRounds; ++r) round(r);
+  EXPECT_EQ(testing::alloc_count() - before, 0u);
+  EXPECT_EQ(held, (2 + kRounds) * kFlows);
+  EXPECT_EQ(pushed_bytes, (2 + kRounds) * kFlows * 2 * kPktsPer * kMss);
+  EXPECT_FALSE(gro.has_held_segments());
 }
 
 }  // namespace
