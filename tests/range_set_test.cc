@@ -192,7 +192,7 @@ TEST(RangeSet, IteratesInOrderAndComparesByContent) {
 }
 
 // The std::map implementation RangeSet had before it became a flat vector,
-// kept verbatim as the reference model for the differential test below.
+// its logic unchanged, as the reference model for the differential test.
 class MapRangeSet {
  public:
   void add(std::uint64_t start, std::uint64_t end) {
